@@ -44,9 +44,8 @@ let with_tree path f =
 
 let fmt_s t = Rctree.Units.format_quantity ~unit_symbol:"s" t
 
-(* every all-outputs subcommand builds one Analysis handle and runs
-   its batch queries through the shared pool (sized by --jobs /
-   RCDELAY_JOBS); output is identical to the old per-output loops *)
+(* every all-outputs subcommand builds one Analysis handle — one O(n)
+   pass over the tree — and then reads each output's row from it *)
 
 let times_cmd path =
   with_tree path (fun tree ->
@@ -588,15 +587,19 @@ let stats_cmd () =
         (Circuit.Large.step_response ~solver:`Cg chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
-      (* the parallel engine: batch characteristic times of every node
-         of the chain through a 2-domain pool, checked bit-for-bit
-         against serial one-shot queries *)
-      Parallel.Pool.with_pool ~domains:2 (fun pool ->
-          let h = Rctree.Analysis.make chain in
-          let nodes = Array.init (Rctree.Tree.node_count chain) (fun i -> i) in
-          let par = Rctree.Analysis.times_of_nodes ~pool h nodes in
-          let ser = Array.map (fun id -> Rctree.Moments.times chain ~output:id) nodes in
-          pool_ok := par = ser);
+      (* the parallel engine: the adder's per-net delays through a
+         2-domain pool, checked bit-for-bit against a serial run; plus
+         one handle batch over every node of the chain *)
+      Parallel.Pool.with_pool ~domains:1 (fun serial ->
+          Parallel.Pool.with_pool ~domains:2 (fun pool ->
+              let par = Sta.Analysis.run_exn ~pool adder in
+              let ser = Sta.Analysis.run_exn ~pool:serial adder in
+              pool_ok :=
+                Sta.Analysis.endpoints par = Sta.Analysis.endpoints ser
+                && Sta.Analysis.required_period par = Sta.Analysis.required_period ser));
+      ignore
+        (Rctree.Analysis.times_of_nodes (Rctree.Analysis.make chain)
+           (Array.init (Rctree.Tree.node_count chain) Fun.id));
       (* the incremental engine: edit fig7, cross-check the memoized
          result bit-for-bit against from-scratch evaluation of the
          edited expression *)
@@ -627,7 +630,8 @@ let stats_cmd () =
         "treesolve.factors"; "treesolve.solves";
         "transient.simulations"; "large.timesteps"; "expr.evals"; "convert.tree_of_expr";
         "spice.decks_parsed"; "spice.elaborations"; "sta.instances_visited";
-        "pool.jobs"; "pool.chunks"; "rctree.analysis_handles"; "rctree.analysis_batches";
+        "pool.jobs"; "pool.chunks"; "rctree.analysis_handles"; "rctree.analysis_nodes";
+        "rctree.analysis_batches";
         "incr.handles"; "incr.edits"; "incr.nodes_reeval"; "incr.cache_hits"; "incr.sweeps";
         "convert.incremental_of_tree";
       ]

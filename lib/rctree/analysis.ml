@@ -1,21 +1,69 @@
 let m_handles = Obs.Counter.make "rctree.analysis_handles"
+let m_nodes = Obs.Counter.make "rctree.analysis_nodes"
 let m_queries = Obs.Counter.make "rctree.analysis_queries"
 let m_batches = Obs.Counter.make "rctree.analysis_batches"
 
 type t = {
   tree : Tree.t;
-  rkk : float array; (* R_kk of every node, the shared-path prefix table *)
-  outputs : (string * Tree.node_id) list;
+  t_p : float;
+  rkk : float array; (* R_kk: path resistance from the input to node k *)
+  td : float array; (* Σ_j R_jk C_j with node k as the output: T_Dk *)
+  s2 : float array; (* Σ_j R_jk² C_j, the numerator of T_Rk *)
 }
 
 type output = [ `Id of Tree.node_id | `Name of string ]
 
+(* The all-nodes pass: the prefix/suffix recursion behind the paper's
+   "more general programs".  Walking from node p to its child k across
+   an edge of resistance R and distributed capacitance C_l raises the
+   shared resistance of every capacitor beyond the edge (C_sub(k),
+   lumped and distributed) from a = R_pp to a + R, and that of the
+   line's own capacitance from a to a + xR along the line:
+
+     T_D(k) = T_D(p) + R (C_sub(k) + C_l / 2)
+     S2(k)  = S2(p)  + R (2a + R) C_sub(k) + C_l R (a + R / 3)
+
+   Index order is top-down, so two forward sweeps and one reverse sweep
+   cover the tree. *)
 let make tree =
   Obs.Counter.incr m_handles;
-  { tree; rkk = Path.all_resistances_to_root tree; outputs = Tree.outputs tree }
+  let n = Tree.node_count tree in
+  Obs.Counter.add m_nodes n;
+  let parent = Array.make n 0 and r = Array.make n 0. and c_line = Array.make n 0. in
+  let rkk = Array.make n 0. and c_sub = Array.make n 0. in
+  let t_p = ref 0. in
+  for k = 1 to n - 1 do
+    let p = match Tree.parent tree k with Some p -> p | None -> 0 in
+    let a = rkk.(p) in
+    (match Tree.element tree k with
+    | Some e ->
+        r.(k) <- Element.resistance e;
+        c_line.(k) <- Element.capacitance e
+    | None -> ());
+    parent.(k) <- p;
+    rkk.(k) <- a +. r.(k);
+    c_sub.(k) <- Tree.capacitance tree k;
+    t_p := !t_p +. (c_sub.(k) *. rkk.(k)) +. (c_line.(k) *. (a +. (r.(k) /. 2.)))
+  done;
+  for k = n - 1 downto 1 do
+    let p = parent.(k) in
+    c_sub.(p) <- c_sub.(p) +. c_sub.(k) +. c_line.(k)
+  done;
+  (* T_D and S2 overwrite C_sub and R in place: a parent's slot is
+     rewritten before any of its children reads it, and the input's row
+     is zero (its edge resistance already is) *)
+  let td = c_sub and s2 = r in
+  td.(0) <- 0.;
+  for k = 1 to n - 1 do
+    let p = parent.(k) and rk = r.(k) and cs = c_sub.(k) and cl = c_line.(k) in
+    let a = rkk.(p) in
+    td.(k) <- td.(p) +. (rk *. (cs +. (cl /. 2.)));
+    s2.(k) <- s2.(p) +. (rk *. ((2. *. a) +. rk) *. cs) +. (cl *. rk *. (a +. (rk /. 3.)))
+  done;
+  { tree; t_p = !t_p; rkk; td; s2 }
 
 let tree t = t.tree
-let outputs t = t.outputs
+let outputs t = Tree.outputs t.tree
 
 let resolve t = function
   | `Id id ->
@@ -23,13 +71,17 @@ let resolve t = function
         invalid_arg (Printf.sprintf "Rctree.Analysis: unknown node %d" id);
       id
   | `Name label -> (
-      match List.assoc_opt label t.outputs with
-      | Some id -> id
-      | None -> invalid_arg (Printf.sprintf "Rctree.Analysis: no output labelled %S" label))
+      match Tree.output_named t.tree label with
+      | id -> id
+      | exception Not_found ->
+          invalid_arg (Printf.sprintf "Rctree.Analysis: no output labelled %S" label))
 
-let times t ~output =
+let read t id =
   Obs.Counter.incr m_queries;
-  Moments.times ~rkk:t.rkk t.tree ~output:(resolve t output)
+  let ree = t.rkk.(id) in
+  Times.make ~t_p:t.t_p ~t_d:t.td.(id) ~t_r:(if ree = 0. then 0. else t.s2.(id) /. ree)
+
+let times t ~output = read t (resolve t output)
 
 let delay_bounds t ~output ~threshold =
   let ts = times t ~output in
@@ -42,23 +94,19 @@ let voltage_bounds t ~output ~time =
 let certify t ~output ~threshold ~deadline = Bounds.certify (times t ~output) ~threshold ~deadline
 let elmore t ~output = (times t ~output).Times.t_d
 
-let batch ?pool t f =
+let batch t f =
   Obs.Counter.incr m_batches;
   Obs.Span.with_ ~name:"rctree.analysis_batch" @@ fun () ->
-  Parallel.Pool.map ?pool (fun (label, id) -> (label, id, f id)) (Array.of_list t.outputs)
+  Array.of_list (List.map (fun (label, id) -> (label, id, f id)) (outputs t))
 
-let all_times ?pool t = batch ?pool t (fun id -> times t ~output:(`Id id))
+let all_times t = batch t (read t)
+let all_delay_bounds t ~threshold = batch t (fun id -> delay_bounds t ~output:(`Id id) ~threshold)
+let all_voltage_bounds t ~time = batch t (fun id -> voltage_bounds t ~output:(`Id id) ~time)
 
-let all_delay_bounds ?pool t ~threshold =
-  batch ?pool t (fun id -> delay_bounds t ~output:(`Id id) ~threshold)
+let all_certify t ~threshold ~deadline =
+  batch t (fun id -> certify t ~output:(`Id id) ~threshold ~deadline)
 
-let all_voltage_bounds ?pool t ~time =
-  batch ?pool t (fun id -> voltage_bounds t ~output:(`Id id) ~time)
-
-let all_certify ?pool t ~threshold ~deadline =
-  batch ?pool t (fun id -> certify t ~output:(`Id id) ~threshold ~deadline)
-
-let times_of_nodes ?pool t nodes =
+let times_of_nodes t nodes =
   Obs.Counter.incr m_batches;
   Obs.Span.with_ ~name:"rctree.analysis_batch" @@ fun () ->
-  Parallel.Pool.map ?pool (fun id -> times t ~output:(`Id id)) nodes
+  Array.map (fun id -> times t ~output:(`Id id)) nodes

@@ -1,18 +1,16 @@
 (** Build-once / query-many handle over one RC tree.
 
-    The one-shot functions of {!Rctree} re-derive the path-resistance
-    array [R_kk] on every call; a handle computes it (and the output
-    directory) once at {!make} and then answers any number of
-    {!times} / {!delay_bounds} / {!voltage_bounds} / {!certify} /
-    {!elmore} queries without re-traversing the tree structure.  Every
-    query is bit-identical to its legacy one-shot counterpart — the
-    cached arrays hold exactly the values the one-shot path would
-    recompute (property-tested).
+    {!make} runs one O(n) pass over the whole tree that yields the
+    characteristic times of {e every} node taken as the output: [T_P],
+    and per node [R_kk], [T_Dk = Σ_j R_jk C_j] and [Σ_j R_jk² C_j].
+    After that every query is an O(1) array read, and a batch over [m]
+    outputs costs O(m) — a deck with any number of outputs is timed in
+    time linear in its size, the paper's central claim.  The one-shot
+    functions of {!Rctree} and {!Moments.times} read the same pass, so
+    they agree with a handle bit for bit.
 
     A handle is immutable after [make], so any number of domains may
-    query it concurrently without locks; the [all_*] batch functions
-    below do exactly that through a {!Parallel.Pool}, with
-    deterministic, serial-identical results.
+    query it concurrently without locks.
 
     Outputs are addressed uniformly: every query takes
     [~output:(`Id node | `Name label)], and every lookup failure
@@ -25,16 +23,20 @@ type output = [ `Id of Tree.node_id | `Name of string ]
 (** [`Id] is any node of the tree; [`Name] is a marked-output label. *)
 
 val make : Tree.t -> t
-(** One O(n) traversal: path resistances to the root plus the output
-    directory. *)
+(** The all-nodes pass: two forward sweeps and one reverse sweep over
+    the node arrays, O(n) time and a handful of float arrays of length
+    n.  Adds n to the [rctree.analysis_nodes] counter; queries add
+    nothing to it. *)
 
 val tree : t -> Tree.t
 val outputs : t -> (string * Tree.node_id) list
 (** The tree's marked outputs, in marking order. *)
 
 val resolve : t -> output -> Tree.node_id
-(** The node an [output] designates.  Raises [Invalid_argument] for an
-    out-of-range [`Id] or an unknown [`Name]. *)
+(** The node an [output] designates, in O(1) ([`Name] is a hash
+    lookup; a label marked twice names its first-marked node).  Raises
+    [Invalid_argument] for an out-of-range [`Id] or an unknown
+    [`Name]. *)
 
 val times : t -> output:output -> Times.t
 (** Characteristic times [T_P], [T_De], [T_Re] — eqs. (1), (5), (6). *)
@@ -46,27 +48,16 @@ val elmore : t -> output:output -> float
 
 (** {2 Batch queries}
 
-    Each runs over every marked output through the pool ([pool]
-    defaults to the shared {!Parallel.Pool.get}), in marking order.
-    With [n] outputs the work is [n] independent O(tree) queries —
-    the embarrassingly parallel shape the paper's Section IV sells. *)
+    Each reads every marked output, in marking order: O(1) per output
+    on top of the pass {!make} already ran. *)
 
-val all_times : ?pool:Parallel.Pool.t -> t -> (string * Tree.node_id * Times.t) array
-
-val all_delay_bounds :
-  ?pool:Parallel.Pool.t -> t -> threshold:float -> (string * Tree.node_id * (float * float)) array
-
-val all_voltage_bounds :
-  ?pool:Parallel.Pool.t -> t -> time:float -> (string * Tree.node_id * (float * float)) array
-
+val all_times : t -> (string * Tree.node_id * Times.t) array
+val all_delay_bounds : t -> threshold:float -> (string * Tree.node_id * (float * float)) array
+val all_voltage_bounds : t -> time:float -> (string * Tree.node_id * (float * float)) array
 val all_certify :
-  ?pool:Parallel.Pool.t ->
-  t ->
-  threshold:float ->
-  deadline:float ->
-  (string * Tree.node_id * Bounds.verdict) array
+  t -> threshold:float -> deadline:float -> (string * Tree.node_id * Bounds.verdict) array
 
-val times_of_nodes : ?pool:Parallel.Pool.t -> t -> Tree.node_id array -> Times.t array
+val times_of_nodes : t -> Tree.node_id array -> Times.t array
 (** Batch {!times} over an arbitrary node set (not just marked
     outputs) — characteristic times of every sink of a large net in
     one call. *)

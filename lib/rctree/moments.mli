@@ -1,13 +1,15 @@
 (** Characteristic times of tree outputs (eqs. 1, 5, 6).
 
-    Two implementations are provided on purpose:
+    One engine computes them: the O(n) all-nodes pass of
+    {!Analysis.make}.  {!times}, {!t_p}, {!elmore}, {!all_times} and
+    {!all_output_times} are one-shot reads of that pass; build an
+    {!Analysis.t} yourself to query one tree many times.
 
-    - {!times} — the fast method: one O(n) pass per output using the
-      precomputed path arrays of {!Path};
-    - {!times_direct} — the textbook method that evaluates [R_ke] for
-      every capacitor with an explicit lowest-common-ancestor query,
-      O(n·depth).  It exists as an independent oracle for tests and as
-      the baseline of the E8 ablation benchmark.
+    {!times_direct} is kept apart on purpose: the textbook method that
+    evaluates [R_ke] for every capacitor with an explicit
+    lowest-common-ancestor query and sums the moments in its own loop.
+    It is the independent oracle of the tests and the baseline of the
+    E8 ablation benchmark.
 
     Distributed lines are integrated in closed form: a line of total
     resistance [R] and capacitance [C] entered at path resistance [a]
@@ -19,12 +21,10 @@
 val t_p : Tree.t -> float
 (** [T_P = Σ R_kk C_k] — output-independent (eq. 5). *)
 
-val times : ?rkk:float array -> Tree.t -> output:Tree.node_id -> Times.t
-(** All three characteristic times for one output, O(n).  [rkk], when
-    given, must be {!Path.all_resistances_to_root} of the same tree;
-    passing it skips the two [R_kk] rebuilds a bare call performs, and
-    because the cached array holds exactly the values the bare call
-    would recompute, the result is bit-identical either way. *)
+val times : Tree.t -> output:Tree.node_id -> Times.t
+(** All three characteristic times for one output, O(n): one
+    {!Analysis.make} pass, then one read.  Bit-identical to
+    {!Analysis.times} on a handle of the same tree. *)
 
 val times_direct : Tree.t -> output:Tree.node_id -> Times.t
 (** Same result by pairwise shared-resistance queries (the "compute
@@ -44,9 +44,6 @@ val quadratic_sum : Tree.t -> output:Tree.node_id -> float
 val all_times : Tree.t -> Times.t array
 (** Characteristic times of {e every} node as the output, in O(n) total
     — the "more general set of programs" the paper defers to its
-    journal version.  Works by prefix recursion down the tree: crossing
-    an edge of resistance [R] into a subtree holding capacitance [C_sub]
-    updates the first-moment sum by [R·C_sub] and the quadratic sum by
-    [2R·R_ee·C_sub + R²·C_sub], with closed-form corrections for the
-    crossed edge's own distributed capacitance.  Agrees with {!times}
-    on every node (property-tested). *)
+    journal version: one {!Analysis.make} pass (prefix recursion down
+    the tree, see there), read at every node.  Agrees with
+    {!times_direct} on every node (property-tested). *)

@@ -8,6 +8,8 @@ type t = {
   names : string array;
   children : int list array; (* in insertion order *)
   outputs : (string * node_id) list;
+  by_label : (string, node_id) Hashtbl.t; (* first-marked node of each label *)
+  marked : bool array; (* node id -> carries at least one output label *)
 }
 
 module Builder = struct
@@ -24,6 +26,7 @@ module Builder = struct
     mutable entries : entry array;
     mutable count : int;
     mutable outs : (string * node_id) list; (* reverse marking order *)
+    seen : (string * node_id, unit) Hashtbl.t; (* the pairs in [outs] *)
   }
 
   let default_name id = "n" ^ string_of_int id
@@ -33,7 +36,7 @@ module Builder = struct
       { b_parent = -1; b_element = None; b_cap = 0.; b_name = "in"; b_children = [] }
     in
     let entries = Array.make 8 input_entry in
-    { tree_name = name; entries; count = 1; outs = [] }
+    { tree_name = name; entries; count = 1; outs = []; seen = Hashtbl.create 16 }
 
   let input (_ : t) = 0
 
@@ -85,11 +88,21 @@ module Builder = struct
   let mark_output b ?label id =
     check_node b id "mark_output";
     let label = match label with Some l -> l | None -> b.entries.(id).b_name in
-    if not (List.exists (fun (l, n) -> l = label && n = id) b.outs) then
+    if not (Hashtbl.mem b.seen (label, id)) then begin
+      Hashtbl.add b.seen (label, id) ();
       b.outs <- (label, id) :: b.outs
+    end
 
   let finish b =
     let n = b.count in
+    let outputs = List.rev b.outs in
+    let by_label = Hashtbl.create (List.length outputs) in
+    let marked = Array.make n false in
+    List.iter
+      (fun (label, id) ->
+        if not (Hashtbl.mem by_label label) then Hashtbl.add by_label label id;
+        marked.(id) <- true)
+      outputs;
     {
       name = b.tree_name;
       parents = Array.init n (fun i -> b.entries.(i).b_parent);
@@ -97,7 +110,9 @@ module Builder = struct
       caps = Array.init n (fun i -> b.entries.(i).b_cap);
       names = Array.init n (fun i -> b.entries.(i).b_name);
       children = Array.init n (fun i -> List.rev b.entries.(i).b_children);
-      outputs = List.rev b.outs;
+      outputs;
+      by_label;
+      marked;
     }
 end
 
@@ -135,8 +150,8 @@ let find_node t n =
   scan 0
 
 let outputs t = t.outputs
-let output_named t label = List.assoc label t.outputs
-let is_output t id = List.exists (fun (_, n) -> n = id) t.outputs
+let output_named t label = Hashtbl.find t.by_label label
+let is_output t id = id >= 0 && id < node_count t && t.marked.(id)
 
 let depth t id =
   check t id "depth";

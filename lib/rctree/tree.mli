@@ -80,9 +80,11 @@ val outputs : t -> (string * node_id) list
 (** In marking order. *)
 
 val output_named : t -> string -> node_id
-(** Raises [Not_found]. *)
+(** The node of the first output marked with this label, by a hash
+    lookup.  Raises [Not_found]. *)
 
 val is_output : t -> node_id -> bool
+(** O(1); false for an out-of-range id. *)
 
 val depth : t -> node_id -> int
 (** Edges between the node and the input. *)

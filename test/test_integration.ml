@@ -218,7 +218,7 @@ let tests =
         let all = Rctree.Moments.all_times tree in
         List.iter
           (fun (label, id) ->
-            check_times label (Rctree.analyze_named tree ~output:label) all.(id))
+            check_times label (Rctree.Moments.times_direct tree ~output:id) all.(id))
           (Rctree.Tree.outputs tree);
         check_int "outputs" 2 (List.length (Rctree.Tree.outputs tree)));
   ]

@@ -1,7 +1,7 @@
 (* The parallel engine: Pool combinator semantics (determinism, work
-   chunking, exception capture, re-entrancy) and the equivalence of
-   the Rctree.Analysis handle — serial or pooled — with the legacy
-   one-shot API, bit for bit. *)
+   chunking, exception capture, re-entrancy) and its pooled clients;
+   plus the equivalence of the Rctree.Analysis handle, its batches and
+   the legacy one-shot API, bit for bit. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -183,33 +183,38 @@ let handle_tests =
             Rctree.Analysis.times h ~output:(`Name "no-such-output"));
         check_invalid "legacy named" (fun () ->
             Rctree.analyze_named fig7_tree ~output:"no-such-output"));
-    Alcotest.test_case "all_times matches all_output_times, pooled" `Quick (fun () ->
+    Alcotest.test_case "batch = per-output query, bit-exact" `Quick (fun () ->
         let tree = pla_tree 20 in
         let h = Rctree.Analysis.make tree in
         let legacy = Rctree.Moments.all_output_times tree in
-        List.iter
-          (fun domains ->
-            Parallel.Pool.with_pool ~domains (fun pool ->
-                let batch = Rctree.Analysis.all_times ~pool h in
-                check_int "count" (List.length legacy) (Array.length batch);
-                List.iteri
-                  (fun i (label, id, ts) ->
-                    let label', id', ts' = batch.(i) in
-                    Alcotest.(check string) "label" label label';
-                    check_int "id" id id';
-                    check_times_exact (Printf.sprintf "d=%d %s" domains label) ts ts')
-                  legacy))
-          [ 1; 2; 4 ]);
+        let batch = Rctree.Analysis.all_times h in
+        let bounds = Rctree.Analysis.all_delay_bounds h ~threshold:0.5 in
+        let verdicts = Rctree.Analysis.all_certify h ~threshold:0.5 ~deadline:1e-9 in
+        check_int "count" (List.length legacy) (Array.length batch);
+        List.iteri
+          (fun i (label, id, ts) ->
+            let label', id', ts' = batch.(i) in
+            Alcotest.(check string) "label" label label';
+            check_int "id" id id';
+            check_times_exact (label ^ " legacy") ts ts';
+            check_times_exact (label ^ " query") (Rctree.Analysis.times h ~output:(`Id id)) ts';
+            let _, _, (lo, hi) = bounds.(i) in
+            let lo', hi' = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
+            check_exact (label ^ " t_min") lo' lo;
+            check_exact (label ^ " t_max") hi' hi;
+            let _, _, v = verdicts.(i) in
+            check_bool (label ^ " verdict") true
+              (v = Rctree.Analysis.certify h ~output:(`Id id) ~threshold:0.5 ~deadline:1e-9))
+          legacy);
     Alcotest.test_case "times_of_nodes covers arbitrary nodes" `Quick (fun () ->
         let tree = pla_tree 10 in
         let h = Rctree.Analysis.make tree in
         let nodes = Array.init (Rctree.Tree.node_count tree) Fun.id in
-        Parallel.Pool.with_pool ~domains:2 (fun pool ->
-            let batch = Rctree.Analysis.times_of_nodes ~pool h nodes in
-            Array.iteri
-              (fun i ts ->
-                check_times_exact (Printf.sprintf "node %d" nodes.(i)) (legacy_times tree nodes.(i)) ts)
-              batch));
+        let batch = Rctree.Analysis.times_of_nodes h nodes in
+        Array.iteri
+          (fun i ts ->
+            check_times_exact (Printf.sprintf "node %d" nodes.(i)) (legacy_times tree nodes.(i)) ts)
+          batch);
   ]
 
 (* --- random trees (qcheck, shared generators from Check.Gen) --------- *)
@@ -225,16 +230,18 @@ let random_tree_props =
           if legacy_times tree id <> Rctree.Analysis.times h ~output:(`Id id) then ok := false
         done;
         !ok);
-    QCheck.Test.make ~count:50 ~name:"pooled batches = serial batches on random trees" arb_tree
+    QCheck.Test.make ~count:50 ~name:"batch = per-output query, bit-exact on random trees" arb_tree
       (fun tree ->
         let h = Rctree.Analysis.make tree in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                Rctree.Analysis.all_times ~pool h = Rctree.Analysis.all_times ~pool:serial h
-                && Rctree.Analysis.all_delay_bounds ~pool h ~threshold:0.5
-                   = Rctree.Analysis.all_delay_bounds ~pool:serial h ~threshold:0.5
-                && Rctree.Analysis.all_voltage_bounds ~pool h ~time:10.
-                   = Rctree.Analysis.all_voltage_bounds ~pool:serial h ~time:10.)));
+        let per_output f =
+          Array.of_list
+            (List.map (fun (l, id) -> (l, id, f (`Id id))) (Rctree.Analysis.outputs h))
+        in
+        Rctree.Analysis.all_times h = per_output (fun output -> Rctree.Analysis.times h ~output)
+        && Rctree.Analysis.all_delay_bounds h ~threshold:0.5
+           = per_output (fun output -> Rctree.Analysis.delay_bounds h ~output ~threshold:0.5)
+        && Rctree.Analysis.all_voltage_bounds h ~time:10.
+           = per_output (fun output -> Rctree.Analysis.voltage_bounds h ~output ~time:10.));
   ]
 
 (* --- parallel clients: STA, Monte-Carlo, PLA sweep ------------------- *)

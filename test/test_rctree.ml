@@ -307,6 +307,43 @@ let tree_tests =
         check_int "two labels" 2 (List.length (outputs t));
         check_bool "first" true (output_named t "first" = n);
         check_bool "second" true (output_named t "second" = n));
+    Alcotest.test_case "duplicate label: first-marked wins, marking order kept" `Quick (fun () ->
+        let b = Builder.create () in
+        let n1 = Builder.add_resistor b ~parent:(Builder.input b) 1. in
+        let n2 = Builder.add_resistor b ~parent:n1 2. in
+        Builder.mark_output b ~label:"x" n2;
+        Builder.mark_output b ~label:"y" n1;
+        Builder.mark_output b ~label:"x" n1;
+        Builder.mark_output b ~label:"x" n2;
+        Builder.mark_output b ~label:"y" n1;
+        let t = Builder.finish b in
+        check_bool "order" true (outputs t = [ ("x", n2); ("y", n1); ("x", n1) ]);
+        check_int "x" n2 (output_named t "x");
+        check_int "y" n1 (output_named t "y");
+        check_bool "missing" true
+          (match output_named t "z" with _ -> false | exception Not_found -> true);
+        check_bool "n1 marked" true (is_output t n1);
+        check_bool "input unmarked" false (is_output t (input t));
+        check_bool "out of range" false (is_output t 99));
+    Alcotest.test_case "100k-leaf star, every leaf an output" `Quick (fun () ->
+        (* marking, lookup and the all-outputs batch must stay linear in
+           the number of outputs *)
+        let leaves = 100_000 in
+        let t0 = Unix.gettimeofday () in
+        let b = Builder.create ~name:"star" () in
+        for i = 1 to leaves do
+          let leaf = Builder.add_resistor b ~parent:(Builder.input b) (float_of_int i) in
+          Builder.add_capacitance b leaf 2.;
+          Builder.mark_output b leaf
+        done;
+        let t = Builder.finish b in
+        let rows = Rctree.Analysis.all_times (Rctree.Analysis.make t) in
+        let seconds = Unix.gettimeofday () -. t0 in
+        check_int "rows" leaves (Array.length rows);
+        let label, id, ts = rows.(leaves - 1) in
+        check_int "by name" id (output_named t label);
+        check_float "td = R C" (2. *. float_of_int leaves) ts.Rctree.Times.t_d;
+        check_bool (Printf.sprintf "linear (%.2f s)" seconds) true (seconds < 5.));
     Alcotest.test_case "find_node" `Quick (fun () ->
         let t, a, _, _ = build_fig7 () in
         check_bool "found" true (find_node t "a" = Some a);
@@ -469,7 +506,7 @@ let moments_tests =
         Rctree.Tree.iter_nodes t ~f:(fun id ->
             check_times
               ("node " ^ string_of_int id)
-              (Rctree.Moments.times t ~output:id)
+              (Rctree.Moments.times_direct t ~output:id)
               all.(id)));
     Alcotest.test_case "all_times on a pure line chain" `Quick (fun () ->
         let open Rctree.Tree.Builder in
@@ -479,8 +516,8 @@ let moments_tests =
         mark_output b e;
         let t = finish b in
         let all = Rctree.Moments.all_times t in
-        check_times "mid" (Rctree.Moments.times t ~output:m) all.(m);
-        check_times "end" (Rctree.Moments.times t ~output:e) all.(e));
+        check_times "mid" (Rctree.Moments.times_direct t ~output:m) all.(m);
+        check_times "end" (Rctree.Moments.times_direct t ~output:e) all.(e));
     Alcotest.test_case "output at input is degenerate" `Quick (fun () ->
         let open Rctree.Tree.Builder in
         let b = create () in

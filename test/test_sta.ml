@@ -190,8 +190,56 @@ let graph_tests =
         check_int "join depth" 2 (List.assoc "join" levels));
   ]
 
+(* one net fanning out to [sinks] probe pins through [wire] *)
+let fanout_net ~sinks wire =
+  let d = Sta.Design.create probe_lib in
+  let loads =
+    List.init sinks (fun i ->
+        let name = Printf.sprintf "u%d" i in
+        Sta.Design.add_instance d ~cell:"probe" name;
+        pin name "a")
+  in
+  Sta.Design.add_net d ~wire ~driver:(Sta.Design.Primary unit_drive) ~loads "n";
+  (d, Sta.Design.net d "n")
+
+(* every sink's window and Elmore delay, and the net's worst window,
+   against Moments.times_direct per sink; times_direct is quadratic in
+   the net, so it checks an evenly spread sample of the sinks *)
+let check_high_fanout wire =
+  let sinks = 5_000 in
+  let d, net = fanout_net ~sinks wire in
+  let delays = Array.of_list (Sta.Netdelay.sink_delays d net) in
+  check_int "one row per sink" sinks (Array.length delays);
+  let tree = Sta.Netdelay.tree_of_net d net in
+  let close msg a b =
+    if not (Numeric.Float_cmp.approx_eq ~rtol:1e-9 a b) then Alcotest.failf "%s: %g <> %g" msg a b
+  in
+  List.iter
+    (fun i ->
+      let sd = delays.(i) in
+      let label = Sta.Netdelay.sink_label sd.Sta.Netdelay.sink in
+      let ts =
+        Rctree.Moments.times_direct tree ~output:(Rctree.Tree.output_named tree label)
+      in
+      let lo, hi = sd.Sta.Netdelay.window in
+      close (label ^ " elmore") ts.Rctree.Times.t_d sd.Sta.Netdelay.elmore;
+      close (label ^ " t_min") (Rctree.Bounds.t_min ts 0.5) lo;
+      close (label ^ " t_max") (Rctree.Bounds.t_max ts 0.5) hi)
+    (List.init 4 (fun k -> k * (sinks / 4)) @ [ sinks - 1 ]);
+  let lo, hi = Sta.Netdelay.worst_window d net in
+  close "worst t_min"
+    (Array.fold_left (fun m sd -> Float.min m (fst sd.Sta.Netdelay.window)) infinity delays)
+    lo;
+  close "worst t_max"
+    (Array.fold_left (fun m sd -> Float.max m (snd sd.Sta.Netdelay.window)) 0. delays)
+    hi
+
 let netdelay_tests =
   [
+    Alcotest.test_case "5k-sink star net = per-sink times_direct" `Quick (fun () ->
+        check_high_fanout (Sta.Design.Star { resistance = 500.; capacitance = 0.5e-12 }));
+    Alcotest.test_case "5k-sink daisy net = per-sink times_direct" `Quick (fun () ->
+        check_high_fanout (Sta.Design.Daisy { resistance = 1000.; capacitance = 1e-12 }));
     Alcotest.test_case "direct net is a single pole" `Quick (fun () ->
         (* R = 1000, C = 1 pF: window edges coincide at RC ln 2 *)
         let d = chain () in
