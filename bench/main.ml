@@ -7,12 +7,27 @@
    (set BENCH_SKIP_MICRO=1 to print only the reproduction tables;
    RCDELAY_BENCH_QUICK=1 is the CI smoke mode: skips the Bechamel
    phase and shrinks every sized workload so the whole run finishes in
-   seconds while still writing the BENCH_*.json records) *)
+   seconds while still writing the BENCH_*.json records, under
+   _build/bench-quick/ unless a BENCH_*_JSON variable names the path) *)
 
 open Bechamel
 open Toolkit
 
 let quick = Sys.getenv_opt "RCDELAY_BENCH_QUICK" <> None
+
+(* where a BENCH_*.json record goes: [env] overrides; quick mode writes
+   under _build/bench-quick/ so that a smoke run never overwrites the
+   committed full-size records *)
+let record_path ~env file =
+  match Sys.getenv_opt env with
+  | Some path -> path
+  | None when quick ->
+      let dir = Filename.concat "_build" "bench-quick" in
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; dir ];
+      Filename.concat dir file
+  | None -> file
 
 (* ------------------------------------------------------------------ *)
 (* workloads                                                          *)
@@ -477,7 +492,7 @@ let print_parallel rows =
   print_newline ()
 
 let write_bench_pr2_json rows =
-  let path = Option.value (Sys.getenv_opt "BENCH_PR2_JSON") ~default:"BENCH_PR2.json" in
+  let path = record_path ~env:"BENCH_PR2_JSON" "BENCH_PR2.json" in
   let open Obs.Json in
   let workloads =
     Object
@@ -581,7 +596,7 @@ let print_incremental ((pieces, size, depth), n_edits, t_incr, t_scratch, reeval
 
 let write_bench_pr3_json
     ((pieces, size, depth), n_edits, t_incr, t_scratch, reeval, hits, identical) =
-  let path = Option.value (Sys.getenv_opt "BENCH_PR3_JSON") ~default:"BENCH_PR3.json" in
+  let path = record_path ~env:"BENCH_PR3_JSON" "BENCH_PR3.json" in
   let open Obs.Json in
   let doc =
     Object
@@ -741,7 +756,7 @@ let print_treesolve rows =
   print_newline ()
 
 let write_bench_pr5_json rows =
-  let path = Option.value (Sys.getenv_opt "BENCH_PR5_JSON") ~default:"BENCH_PR5.json" in
+  let path = record_path ~env:"BENCH_PR5_JSON" "BENCH_PR5.json" in
   let open Obs.Json in
   let workloads =
     Object
@@ -805,7 +820,7 @@ let treesolve_smoke rows =
    ns/op from the Bechamel phase plus the Obs counters and span
    timings accumulated over the reproduction tables *)
 let write_bench_json bench_rows =
-  let path = Option.value (Sys.getenv_opt "BENCH_JSON") ~default:"BENCH_PR1.json" in
+  let path = record_path ~env:"BENCH_JSON" "BENCH_PR1.json" in
   let open Obs.Json in
   let benchmarks =
     Object

@@ -108,6 +108,117 @@ let decorate_deck st text =
        (fun l -> decorate l :: (if Random.State.int st 3 = 0 then noise else []))
        lines)
 
+(* --- deck mutations: hostile inputs for the front end ------------------ *)
+
+type mutation =
+  | Negative_value
+  | Nan_value
+  | Overflow_value
+  | Cycle
+  | Dangling_node
+  | Duplicate_name
+  | Missing_source
+  | Extra_source
+  | Wrong_arity
+  | Orphan_continuation
+  | Self_include
+
+let mutations =
+  [
+    Negative_value; Nan_value; Overflow_value; Cycle; Dangling_node; Duplicate_name;
+    Missing_source; Extra_source; Wrong_arity; Orphan_continuation; Self_include;
+  ]
+
+let mutation_name = function
+  | Negative_value -> "negative-value"
+  | Nan_value -> "nan-value"
+  | Overflow_value -> "overflow-value"
+  | Cycle -> "cycle"
+  | Dangling_node -> "dangling-node"
+  | Duplicate_name -> "duplicate-name"
+  | Missing_source -> "missing-source"
+  | Extra_source -> "extra-source"
+  | Wrong_arity -> "wrong-arity"
+  | Orphan_continuation -> "orphan-continuation"
+  | Self_include -> "self-include"
+
+let words line = List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim line))
+
+let card_letter line =
+  match words line with
+  | w :: _ -> (
+      match Char.lowercase_ascii w.[0] with ('r' | 'c' | 'u' | 'v') as k -> Some k | _ -> None)
+  | [] -> None
+
+let pick_opt st = function [] -> None | l -> Some (List.nth l (Random.State.int st (List.length l)))
+
+let mutate_deck ?(self = "self.sp") st m text =
+  let lines = String.split_on_char '\n' text in
+  let indexed = List.mapi (fun i l -> (i, l)) lines in
+  let where p = List.filter_map (fun (i, l) -> if p l then Some i else None) indexed in
+  let valued =
+    where (fun l -> match card_letter l with Some ('r' | 'c' | 'u') -> true | _ -> false)
+  in
+  let cards = where (fun l -> card_letter l <> None) in
+  let is_end l = match words l with w :: _ -> String.lowercase_ascii w = ".end" | [] -> false in
+  let end_at = match where is_end with i :: _ -> i | [] -> List.length lines in
+  (* node names of the R/U cards and the grounded ends of the C cards *)
+  let nodes =
+    "in"
+    :: List.concat_map
+         (fun i ->
+           match words (List.nth lines i) with
+           | _ :: a :: b :: _ -> List.filter (fun n -> not (Spice.Deck.is_ground n)) [ a; b ]
+           | _ -> [])
+         valued
+  in
+  let node () = Option.get (pick_opt st nodes) in
+  (* new lines go anywhere before .end *)
+  let insert extra =
+    let at = Random.State.int st (end_at + 1) in
+    List.concat_map (fun (i, l) -> if i = at then [ extra; l ] else [ l ]) indexed
+    @ if at >= List.length lines then [ extra ] else []
+  in
+  let rewrite i f = List.map (fun (j, l) -> if j = i then f l else l) indexed in
+  let set_value f =
+    match pick_opt st valued with
+    | None -> insert (Printf.sprintf "Rbad %s extra %s" (node ()) (f "1"))
+    | Some i ->
+        rewrite i (fun l ->
+            match List.rev (words l) with
+            | last :: rest -> String.concat " " (List.rev (f last :: rest))
+            | [] -> l)
+  in
+  let out =
+    match m with
+    | Negative_value -> set_value (fun v -> "-" ^ v)
+    | Nan_value -> set_value (Fun.const "nan")
+    | Overflow_value -> set_value (Fun.const "1e400")
+    | Cycle ->
+        (* two nodes already joined, joined again (or a self-loop) *)
+        insert (Printf.sprintf "Rcycle %s %s 1" (node ()) (node ()))
+    | Dangling_node ->
+        if Random.State.bool st then insert "Rfloat island_a island_b 1"
+        else insert "Cfloat island_c 0 1"
+    | Duplicate_name -> (
+        match pick_opt st cards with
+        | None -> insert "R1 in dup 1"
+        | Some i -> insert (List.nth lines i))
+    | Missing_source -> List.filter (fun l -> card_letter l <> Some 'v') lines
+    | Extra_source -> insert (Printf.sprintf "Vextra %s 0" (node ()))
+    | Wrong_arity -> (
+        match pick_opt st valued with
+        | None -> insert "R1 in"
+        | Some i ->
+            rewrite i (fun l ->
+                match List.rev (words l) with
+                | _ :: rest when Random.State.bool st -> String.concat " " (List.rev rest)
+                | _ -> l ^ " 7"))
+    | Orphan_continuation -> insert "+ 1"
+    | Self_include -> insert (".include " ^ self)
+  in
+  String.concat "\n" out
+
 (* --- the fuzz-driver generator ---------------------------------------- *)
 
 let pick st l = List.nth l (Random.State.int st (List.length l))

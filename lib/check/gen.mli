@@ -40,6 +40,34 @@ val decorate_deck : Random.State.t -> string -> string
 (** Sprinkle legal noise over deck text: tabs, comments, blank lines,
     case changes on card letters — node names stay untouched. *)
 
+(** {2 Deck mutations} *)
+
+(** One way to break a deck, for the front-end totality property: every
+    mutant must end in a tree or a positioned error, never an exception. *)
+type mutation =
+  | Negative_value  (** an R, C or U value made negative *)
+  | Nan_value
+  | Overflow_value  (** [1e400], infinite once parsed *)
+  | Cycle  (** a resistor between two existing nodes, or a self-loop *)
+  | Dangling_node  (** a resistor or capacitor on nodes the input never reaches *)
+  | Duplicate_name  (** a card repeated verbatim, name included *)
+  | Missing_source
+  | Extra_source
+  | Wrong_arity  (** an R, C or U card with one word too few or too many *)
+  | Orphan_continuation  (** a ['+'] line, possibly before any card *)
+  | Self_include  (** [.include] of the deck's own file *)
+
+val mutations : mutation list
+(** Every constructor, once. *)
+
+val mutation_name : mutation -> string
+
+val mutate_deck : ?self:string -> Random.State.t -> mutation -> string -> string
+(** [mutate_deck st m text] applies [m] to the deck text at positions
+    drawn from [st]; lines it adds go before [.end].  [self] is the file
+    name a {!Self_include} line names (default ["self.sp"]): pass the
+    base name of the file the mutant is written to. *)
+
 (** {2 Fuzz-driver generator} *)
 
 val case : ?max_nodes:int -> ?with_edits:bool -> ?label:string -> Random.State.t -> Case.t

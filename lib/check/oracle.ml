@@ -64,6 +64,8 @@ let registry =
       "the [`Cg] matrix-free conjugate-gradient path and the [`Dense] MNA + LU path stepping \
        the same discrete system, backward Euler and trapezoidal" );
     ("Spice.Printer decks", "Spice.Parser + Elaborate round-trip under legal deck noise");
+    ( "Spice.Parser + Elaborate on mutated decks",
+      "totality: Ok or an Error with a line, never an exception, for every Gen.mutation" );
     ( "Incremental.apply (memoized spine re-evaluation)",
       "Incremental.edit_expr + from-scratch Expr.times, compared bit-for-bit" );
   ]

@@ -275,6 +275,39 @@ let run_incremental o =
     | Error m -> Fail m
   end
 
+(* --- front-end totality: hostile decks end in a tree or a positioned error *)
+
+let run_totality o =
+  let case = Oracle.case o in
+  let text = Case.to_deck_string case in
+  let st = Random.State.make [| Hashtbl.hash text; 0x707a1 |] in
+  let check m =
+    let what = Gen.mutation_name m in
+    let mutant self = Gen.decorate_deck st (Gen.mutate_deck ~self st m text) in
+    let parse () =
+      match m with
+      | Gen.Self_include ->
+          (* the one mutant that needs a file: it includes itself *)
+          let path = Filename.temp_file "rcdelay-totality" ".sp" in
+          Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (mutant (Filename.basename path)));
+          Spice.Parser.parse_file path
+      | _ -> Spice.Parser.parse_string (mutant "self.sp")
+    in
+    match parse () with
+    | Error e when e.Spice.Parser.line < 1 ->
+        Some (failf "%s mutant: error without a line: %s" what (Spice.Parser.error_to_string e))
+    | Error _ -> None
+    | Ok deck -> (
+        match Spice.Elaborate.to_tree deck with
+        | exception e ->
+            Some (failf "%s mutant: the elaborator raised %s" what (Printexc.to_string e))
+        | Ok _ | Error _ -> None)
+    | exception e -> Some (failf "%s mutant: the parser raised %s" what (Printexc.to_string e))
+  in
+  match List.find_map check Gen.mutations with Some f -> f | None -> Pass
+
 let all =
   [
     {
@@ -323,6 +356,13 @@ let all =
       name = "incremental";
       doc = "memoized spine re-evaluation is bit-identical to from-scratch evaluation";
       run = run_incremental;
+    };
+    {
+      name = "front-end-totality";
+      doc = "every mutated deck (bad values, cycles, dangling nodes, duplicates, sources, arity, \
+             orphan continuations, self-includes) ends in a tree or a positioned error, never an \
+             exception";
+      run = run_totality;
     };
   ]
 

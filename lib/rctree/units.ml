@@ -41,52 +41,47 @@ let suffix_scale s =
   | "t" -> Some 1e12
   | _ -> None
 
+(* end of the leading numeric part of [s] from [i]: digits, '.', signs,
+   and an 'e'/'E' only when a digit or sign follows it *)
+let rec num_end s n i =
+  if i >= n then i
+  else
+    match s.[i] with
+    | 'e' | 'E' ->
+        if i + 1 < n && match s.[i + 1] with '0' .. '9' | '+' | '-' -> true | _ -> false then
+          num_end s n (i + 2)
+        else i
+    | '0' .. '9' | '.' | '-' | '+' -> num_end s n (i + 1)
+    | _ -> i
+
 (* uppercase "M" is SI mega; lowercase "m" stays SPICE milli *)
-let parse_si s =
+let parse_si_suffixed s =
   let s = String.trim s in
   let n = String.length s in
-  if n = 0 then None
-  else begin
-    (* split leading numeric part from trailing letters *)
-    let is_num_char c =
-      match c with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false
-    in
-    (* careful: 'e'/'E' only counts as numeric when followed by digit/sign *)
-    let rec num_end i =
-      if i >= n then i
-      else begin
-        let c = s.[i] in
-        if c = 'e' || c = 'E' then
-          if i + 1 < n && (match s.[i + 1] with '0' .. '9' | '+' | '-' -> true | _ -> false) then
-            num_end (i + 2)
-          else i
-        else if is_num_char c then num_end (i + 1)
-        else i
-      end
-    in
-    let split = num_end 0 in
-    if split = 0 then None
-    else begin
-      let number = String.sub s 0 split in
-      let rest = String.sub s split (n - split) in
-      match float_of_string_opt number with
-      | None -> None
-      | Some v ->
-          (* SPICE convention: "meg" beats "m"; any other trailing unit
-             letters after a recognized prefix are ignored *)
-          let rest_l = String.lowercase_ascii rest in
-          let scale =
-            if String.length rest_l >= 3 && String.sub rest_l 0 3 = "meg" then Some 1e6
-            else if rest_l = "" then Some 1.
-            else if rest.[0] = 'M' then Some 1e6 (* SI mega, distinct from milli *)
-            else
-              match suffix_scale (String.sub rest_l 0 1) with
-              | Some sc -> Some sc
-              | None -> if rest_l <> "" then Some 1. (* bare unit like "F" *) else None
-          in
-          Option.map (fun sc -> v *. sc) scale
-    end
-  end
+  let split = num_end s n 0 in
+  if split = 0 then None
+  else
+    match float_of_string_opt (String.sub s 0 split) with
+    | None -> None
+    | Some v ->
+        (* SPICE convention: "meg" beats "m"; any other trailing unit
+           letters after a recognized prefix are ignored *)
+        let rest = String.sub s split (n - split) in
+        let rest_l = String.lowercase_ascii rest in
+        let scale =
+          if String.length rest_l >= 3 && String.sub rest_l 0 3 = "meg" then 1e6
+          else if rest_l = "" then 1.
+          else if rest.[0] = 'M' then 1e6 (* SI mega, distinct from milli *)
+          else (* a bare unit like "F" scales by one *)
+            Option.value (suffix_scale (String.sub rest_l 0 1)) ~default:1.
+        in
+        Some (v *. scale)
+
+(* the common case — a plain number, as in every generated deck — skips
+   the trim, the copies and the suffix lookup *)
+let parse_si s =
+  let n = String.length s in
+  if n > 0 && num_end s n 0 = n then float_of_string_opt s else parse_si_suffixed s
 
 let ohms_per_square ~sheet ~squares =
   if sheet < 0. || squares < 0. then invalid_arg "Units.ohms_per_square: negative argument";

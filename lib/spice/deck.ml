@@ -9,8 +9,16 @@ type t = { title : string; cards : card list; outputs : string list }
 let card_name = function
   | Resistor { name; _ } | Capacitor { name; _ } | Line { name; _ } | Source { name; _ } -> name
 
+(* called twice per card by the elaborator: compare in place, no
+   lowercase copy *)
 let is_ground n =
-  match String.lowercase_ascii n with "0" | "gnd" -> true | _ -> false
+  match String.length n with
+  | 1 -> n.[0] = '0'
+  | 3 ->
+      Char.lowercase_ascii n.[0] = 'g'
+      && Char.lowercase_ascii n.[1] = 'n'
+      && Char.lowercase_ascii n.[2] = 'd'
+  | _ -> false
 
 let make ?(title = "") ?(outputs = []) cards = { title; cards; outputs }
 

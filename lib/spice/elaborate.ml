@@ -4,6 +4,7 @@ type error =
   | Source_not_grounded of string
   | Element_to_ground of string
   | Capacitor_not_grounded of string
+  | Bad_value of string
   | Cycle of string
   | Disconnected of string list
   | Unknown_output of string
@@ -18,6 +19,7 @@ let error_to_string = function
         name
   | Capacitor_not_grounded name ->
       Printf.sprintf "capacitor %S must have exactly one grounded terminal" name
+  | Bad_value name -> Printf.sprintf "element %S has a negative or non-finite value" name
   | Cycle name -> Printf.sprintf "element %S closes a cycle; the network is not a tree" name
   | Disconnected nodes -> "nodes not reachable from the input: " ^ String.concat ", " nodes
   | Unknown_output node -> Printf.sprintf ".output names unknown node %S" node
@@ -26,102 +28,176 @@ exception Elab_error of error
 
 let fail e = raise (Elab_error e)
 
-(* series edge extracted from an R or U card *)
-type edge = { e_name : string; e_n1 : string; e_n2 : string; e_elem : float * float }
+module Names = Hashtbl.Make (struct
+  type t = string
 
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let bad v = not (v >= 0. && Float.is_finite v)
+
+(* the non-ground terminal of a two-terminal card that must have exactly
+   one grounded terminal *)
+let grounded_other n1 n2 =
+  match (Deck.is_ground n1, Deck.is_ground n2) with
+  | true, false -> Some n2
+  | false, true -> Some n1
+  | _ -> None
+
+(* Node names are interned to dense ints once; the series edges live in
+   flat arrays indexed by card order, and lumped capacitance is summed
+   per name in card order.  The adjacency is CSR with every row
+   newest-edge-first, the order of the reference elaborator in
+   test/ref_frontend.ml, so the breadth-first search numbers the nodes
+   and orders the children as that one does. *)
 let to_tree_internal deck =
-  let sources =
-    List.filter_map
-      (function
-        | Deck.Source { name; n1; n2 } -> Some (name, n1, n2)
-        | Deck.Resistor _ | Deck.Capacitor _ | Deck.Line _ -> None)
-      deck.Deck.cards
+  let max_edges = ref 0 and n_caps = ref 0 in
+  List.iter
+    (function
+      | Deck.Resistor _ | Deck.Line _ -> incr max_edges
+      | Deck.Capacitor _ -> incr n_caps
+      | Deck.Source _ -> ())
+    deck.Deck.cards;
+  (* every name comes from an edge end, a capacitor or the source *)
+  let max_edges = !max_edges in
+  let max_names = (2 * max_edges) + !n_caps + 1 in
+  let ids = Names.create (max_edges + 1) in
+  let names = Array.make max_names "" and n_names = ref 0 in
+  (* decks tend to name a node on consecutive cards (R a b, C b 0, R b c),
+     so the last name looked up is checked before the table *)
+  let last = ref "" and last_id = ref (-1) in
+  let intern s =
+    if !last_id >= 0 && String.equal s !last then !last_id
+    else begin
+      let id =
+        match Names.find ids s with
+        | id -> id
+        | exception Not_found ->
+            let id = !n_names in
+            Names.add ids s id;
+            names.(id) <- s;
+            n_names := id + 1;
+            id
+      in
+      last := s;
+      last_id := id;
+      id
+    end
   in
-  let input_node =
-    match sources with
+  let edge_a = Array.make max_edges 0 and edge_b = Array.make max_edges 0 in
+  let edge_r = Array.make max_edges 0. and edge_c = Array.make max_edges 0. in
+  let edge_name = Array.make max_edges "" and n_edges = ref 0 in
+  let cap = Array.make max_names 0. and has_cap = Bytes.make max_names '\000' in
+  (* source problems outrank card problems, so the first card problem
+     waits until every source has been seen *)
+  let sources = ref [] and card_error = ref None in
+  let card_fail e = if Option.is_none !card_error then card_error := Some e in
+  let add_edge name n1 n2 r c =
+    if Deck.is_ground n1 || Deck.is_ground n2 then card_fail (Element_to_ground name)
+    else if bad r || bad c then card_fail (Bad_value name)
+    else if Option.is_none !card_error then begin
+      let k = !n_edges in
+      edge_a.(k) <- intern n1;
+      edge_b.(k) <- intern n2;
+      edge_r.(k) <- r;
+      edge_c.(k) <- c;
+      edge_name.(k) <- name;
+      n_edges := k + 1
+    end
+  in
+  List.iter
+    (function
+      | Deck.Source { name; n1; n2 } -> sources := (name, n1, n2) :: !sources
+      | Deck.Resistor { name; n1; n2; value } -> add_edge name n1 n2 value 0.
+      | Deck.Line { name; n1; n2; resistance; capacitance } ->
+          add_edge name n1 n2 resistance capacitance
+      | Deck.Capacitor { name; n1; n2; value } -> (
+          match grounded_other n1 n2 with
+          | None -> card_fail (Capacitor_not_grounded name)
+          | Some _ when bad value -> card_fail (Bad_value name)
+          | Some node ->
+              if Option.is_none !card_error then begin
+                let id = intern node in
+                cap.(id) <- cap.(id) +. value;
+                Bytes.set has_cap id '\001'
+              end))
+    deck.Deck.cards;
+  let input =
+    match List.rev !sources with
     | [] -> fail No_source
-    | [ (name, n1, n2) ] ->
-        if Deck.is_ground n1 && not (Deck.is_ground n2) then n2
-        else if Deck.is_ground n2 && not (Deck.is_ground n1) then n1
-        else fail (Source_not_grounded name)
+    | [ (name, n1, n2) ] -> (
+        match grounded_other n1 n2 with Some node -> node | None -> fail (Source_not_grounded name))
     | many -> fail (Multiple_sources (List.map (fun (name, _, _) -> name) many))
   in
-  let edges = ref [] and caps = Hashtbl.create 16 in
-  List.iter
-    (fun card ->
-      match card with
-      | Deck.Source _ -> ()
-      | Deck.Resistor { name; n1; n2; value } ->
-          if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
-          edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (value, 0.) } :: !edges
-      | Deck.Line { name; n1; n2; resistance; capacitance } ->
-          if Deck.is_ground n1 || Deck.is_ground n2 then fail (Element_to_ground name);
-          edges := { e_name = name; e_n1 = n1; e_n2 = n2; e_elem = (resistance, capacitance) } :: !edges
-      | Deck.Capacitor { name; n1; n2; value } ->
-          let node =
-            if Deck.is_ground n1 && not (Deck.is_ground n2) then n2
-            else if Deck.is_ground n2 && not (Deck.is_ground n1) then n1
-            else fail (Capacitor_not_grounded name)
-          in
-          let prev = Option.value (Hashtbl.find_opt caps node) ~default:0. in
-          Hashtbl.replace caps node (prev +. value))
-    deck.Deck.cards;
-  let edges = Array.of_list (List.rev !edges) in
-  let adjacency = Hashtbl.create 16 in
-  Array.iteri
-    (fun i e ->
-      Hashtbl.add adjacency e.e_n1 i;
-      Hashtbl.add adjacency e.e_n2 i)
-    edges;
-  let b = Rctree.Tree.Builder.create ~name:deck.Deck.title () in
-  let node_ids = Hashtbl.create 16 in
-  Hashtbl.replace node_ids input_node (Rctree.Tree.Builder.input b);
-  let used = Array.make (Array.length edges) false in
-  let queue = Queue.create () in
-  Queue.add input_node queue;
-  while not (Queue.is_empty queue) do
-    let here = Queue.pop queue in
-    let here_id = Hashtbl.find node_ids here in
-    List.iter
-      (fun i ->
-        if not used.(i) then begin
-          used.(i) <- true;
-          let e = edges.(i) in
-          let far = if e.e_n1 = here then e.e_n2 else e.e_n1 in
-          if Hashtbl.mem node_ids far then fail (Cycle e.e_name)
-          else begin
-            let r, c = e.e_elem in
-            let id = Rctree.Tree.Builder.add_line b ~parent:here_id ~name:far r c in
-            Hashtbl.replace node_ids far id;
-            Queue.add far queue
-          end
-        end)
-      (Hashtbl.find_all adjacency here)
+  Option.iter fail !card_error;
+  let input = intern input in
+  let n = !n_names and m = !n_edges in
+  (* CSR adjacency: row [v] is [adj.(row.(v)) .. adj.(row.(v + 1) - 1)] *)
+  let row = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    row.(edge_a.(k) + 1) <- row.(edge_a.(k) + 1) + 1;
+    row.(edge_b.(k) + 1) <- row.(edge_b.(k) + 1) + 1
   done;
-  let mentioned = Hashtbl.create 16 in
-  Array.iter
-    (fun e ->
-      Hashtbl.replace mentioned e.e_n1 ();
-      Hashtbl.replace mentioned e.e_n2 ())
-    edges;
-  Hashtbl.iter (fun node _ -> Hashtbl.replace mentioned node ()) caps;
-  let missing =
-    Hashtbl.fold (fun node () acc -> if Hashtbl.mem node_ids node then acc else node :: acc) mentioned []
-  in
-  if missing <> [] then fail (Disconnected (List.sort String.compare missing));
-  Hashtbl.iter (fun node c -> Rctree.Tree.Builder.add_capacitance b (Hashtbl.find node_ids node) c) caps;
+  for v = 1 to n do
+    row.(v) <- row.(v) + row.(v - 1)
+  done;
+  let fill = Array.sub row 0 n and adj = Array.make (2 * m) 0 in
+  for k = m - 1 downto 0 do
+    let a = edge_a.(k) and b = edge_b.(k) in
+    adj.(fill.(a)) <- k;
+    fill.(a) <- fill.(a) + 1;
+    adj.(fill.(b)) <- k;
+    fill.(b) <- fill.(b) + 1
+  done;
+  (* breadth-first from the input; [tid] maps a name to its tree node *)
+  let b = Rctree.Tree.Builder.create ~name:deck.Deck.title () in
+  let tid = Array.make n (-1) and queue = Array.make n 0 in
+  let used = Bytes.make m '\000' and has_child = Bytes.make n '\000' in
+  tid.(input) <- Rctree.Tree.Builder.input b;
+  queue.(0) <- input;
+  let head = ref 0 and tail = ref 1 and tree_nodes = ref 1 in
+  while !head < !tail do
+    let here = queue.(!head) in
+    incr head;
+    let parent = tid.(here) in
+    for j = row.(here) to row.(here + 1) - 1 do
+      let k = adj.(j) in
+      if Bytes.get used k = '\000' then begin
+        Bytes.set used k '\001';
+        let far = if edge_a.(k) = here then edge_b.(k) else edge_a.(k) in
+        if tid.(far) >= 0 then fail (Cycle edge_name.(k));
+        (* a line of zero resistance folds into [parent] and returns it *)
+        let id = Rctree.Tree.Builder.add_line b ~parent ~name:names.(far) edge_r.(k) edge_c.(k) in
+        if id <> parent then begin
+          Bytes.set has_child parent '\001';
+          incr tree_nodes
+        end;
+        tid.(far) <- id;
+        queue.(!tail) <- far;
+        incr tail
+      end
+    done
+  done;
+  let missing = ref [] in
+  for v = n - 1 downto 0 do
+    if tid.(v) < 0 then missing := names.(v) :: !missing
+  done;
+  if !missing <> [] then fail (Disconnected (List.sort String.compare !missing));
+  for v = 0 to n - 1 do
+    if Bytes.get has_cap v <> '\000' then Rctree.Tree.Builder.add_capacitance b tid.(v) cap.(v)
+  done;
   (match deck.Deck.outputs with
   | [] ->
       (* default: every leaf is an output *)
-      let snapshot = Rctree.Tree.Builder.finish b in
-      Rctree.Tree.iter_nodes snapshot ~f:(fun id ->
-          if Rctree.Tree.children snapshot id = [] && id <> Rctree.Tree.input snapshot then
-            Rctree.Tree.Builder.mark_output b id)
+      for id = 1 to !tree_nodes - 1 do
+        if Bytes.get has_child id = '\000' then Rctree.Tree.Builder.mark_output b id
+      done
   | outs ->
       List.iter
         (fun node ->
-          match Hashtbl.find_opt node_ids node with
-          | Some id -> Rctree.Tree.Builder.mark_output b ~label:node id
+          match Names.find_opt ids node with
+          | Some v -> Rctree.Tree.Builder.mark_output b ~label:node tid.(v)
           | None -> fail (Unknown_output node))
         outs);
   Rctree.Tree.Builder.finish b

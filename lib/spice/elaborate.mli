@@ -5,7 +5,8 @@
       terminal is the tree input;
     - resistor and line cards connect two non-ground nodes and must form
       a tree rooted at the input (no cycles, nothing floating);
-    - capacitor cards have exactly one grounded terminal.
+    - capacitor cards have exactly one grounded terminal;
+    - every value is finite and non-negative.
 
     Outputs come from the deck's [.output] directives; when there are
     none, every leaf node becomes an output (a convenience for small
@@ -17,6 +18,9 @@ type error =
   | Source_not_grounded of string
   | Element_to_ground of string  (** an R or U card touches ground *)
   | Capacitor_not_grounded of string
+  | Bad_value of string
+      (** an R, C or U card with a negative, NaN or infinite value (the
+          parser rejects these in text; this catches decks built in code) *)
   | Cycle of string  (** name of the edge card closing the cycle *)
   | Disconnected of string list  (** nodes unreachable from the input *)
   | Unknown_output of string

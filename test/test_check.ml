@@ -41,7 +41,7 @@ let corpus_tests =
           entries);
     Alcotest.test_case "oracle registry pairs every public answer" `Quick (fun () ->
         check_bool "registry non-trivial" true (List.length Check.Oracle.registry >= 5);
-        check_int "catalog size" 9 (List.length Check.Prop.all));
+        check_int "catalog size" 10 (List.length Check.Prop.all));
   ]
 
 let runner_tests =
@@ -126,6 +126,53 @@ let fault_tests =
           Check.Fault.all);
   ]
 
+let mutation_tests =
+  [
+    Alcotest.test_case "each deck mutation breaks the deck the way it is named" `Quick (fun () ->
+        let text =
+          "* deck\nVIN in 0\nR1 in a 10\nC1 a 0 2\nU1 a b 3 4\nC2 b 0 1\n.output b\n.end\n"
+        in
+        let dir = Filename.temp_dir "rcdelay-mutation" "" in
+        let path = Filename.concat dir "deck.sp" in
+        let outcome m =
+          let st = Random.State.make [| 7 |] in
+          let oc = open_out path in
+          output_string oc (Check.Gen.mutate_deck ~self:"deck.sp" st m text);
+          close_out oc;
+          match Spice.Parser.parse_file path with
+          | Error e -> `Parse e.Spice.Parser.message
+          | Ok deck -> (
+              match Spice.Elaborate.to_tree deck with Ok _ -> `Ok | Error e -> `Elab e)
+        in
+        List.iter
+          (fun m ->
+            let name = Check.Gen.mutation_name m in
+            let ok =
+              match (m, outcome m) with
+              | Check.Gen.Negative_value, `Parse msg -> String.starts_with ~prefix:"negative" msg
+              | (Nan_value | Overflow_value), `Parse msg -> String.starts_with ~prefix:"bad" msg
+              | Cycle, `Elab (Spice.Elaborate.Cycle _) -> true
+              | Dangling_node, `Elab (Spice.Elaborate.Disconnected _) -> true
+              | ( Duplicate_name,
+                  (`Ok | `Elab (Spice.Elaborate.Cycle _ | Spice.Elaborate.Multiple_sources _)) ) ->
+                  true
+              | Missing_source, `Elab Spice.Elaborate.No_source -> true
+              | Extra_source, `Elab (Spice.Elaborate.Multiple_sources _) -> true
+              | (Wrong_arity | Orphan_continuation), `Parse _ -> true
+              | Self_include, `Parse msg -> String.starts_with ~prefix:".include cycle" msg
+              | _ -> false
+            in
+            check_bool name true ok)
+          Check.Gen.mutations;
+        Sys.remove path;
+        Sys.rmdir dir);
+    Alcotest.test_case "front-end totality holds on 200 fresh cases" `Quick (fun () ->
+        let totality = Option.get (Check.Prop.find "front-end-totality") in
+        let r = Check.Runner.run ~properties:[ totality ] ~cases:200 ~seed:8 () in
+        check_int "cases" 200 r.Check.Runner.cases;
+        check_int "failures" 0 (List.length r.Check.Runner.failures));
+  ]
+
 let serialization_props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -176,6 +223,7 @@ let () =
       ("corpus", corpus_tests);
       ("runner", runner_tests);
       ("faults", fault_tests);
+      ("mutations", mutation_tests);
       ("serialization", serialization_props);
       ("obs", obs_tests);
     ]

@@ -239,6 +239,34 @@ let tests =
             [ "--inject"; "bogus" ];
             [ "--props"; "envelope,bogus" ];
           ]);
+    Alcotest.test_case "negative values exit 2 at their token" `Quick (fun () ->
+        List.iter
+          (fun (deck, expected) ->
+            let path = Filename.temp_file "neg" ".sp" in
+            let oc = open_out path in
+            output_string oc deck;
+            close_out oc;
+            let code, out = run [ "times"; path ] in
+            Sys.remove path;
+            check_int ("exit: " ^ expected) 2 code;
+            check_bool ("message: " ^ expected) true (contains out expected))
+          [
+            ("VIN in 0\nR1 in a -5\n", "line 2, column 9: negative resistance value \"-5\"");
+            ("VIN in 0\nR1 in a 5\nC1 a 0 -1p\n", "line 3, column 8: negative capacitance value");
+            ("VIN in 0\nU1 in a 5 -1p\n", "line 2, column 11: negative capacitance value \"-1p\"");
+            ( "VIN in 0\nR1 in a 5\nC1 a 0 1p\nC2 a 0 -1p\n",
+              "line 4, column 8: negative capacitance value" );
+          ]);
+    Alcotest.test_case "self-including deck exits 2 with the cycle once" `Quick (fun () ->
+        let path = Filename.temp_file "self" ".sp" in
+        let oc = open_out path in
+        Printf.fprintf oc "VIN in 0\n.include %s\n" (Filename.basename path);
+        close_out oc;
+        let code, out = run [ "times"; path ] in
+        Sys.remove path;
+        check_int "exit" 2 code;
+        check_bool "cycle" true (contains out "line 2, column 10: .include cycle");
+        check_bool "once" false (contains out "in included file"));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]
