@@ -565,5 +565,5 @@ let () =
       ("include", include_tests);
       ("printer", printer_tests);
       ("reference", reference_tests @ List.map QCheck_alcotest.to_alcotest reference_props);
-      ("linear work", linear_tests);
+      ("linear", linear_tests);
     ]
