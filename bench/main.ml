@@ -15,6 +15,14 @@ open Toolkit
 
 let quick = Sys.getenv_opt "RCDELAY_BENCH_QUICK" <> None
 
+(* backward-Euler unit-step response of [outputs], one waveform each *)
+let step_waves ?solver tree ~dt ~t_end ~outputs =
+  let r =
+    Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler ?solver ~outputs tree
+      ~dt ~t_end ~input:Circuit.Transient.step_input
+  in
+  List.map (fun node -> Circuit.Transient.waveform r ~node) outputs
+
 (* where a BENCH_*.json record goes: [env] overrides; quick mode writes
    under _build/bench-quick/ so that a smoke run never overwrites the
    committed full-size records *)
@@ -165,16 +173,14 @@ let tests =
       Test.make ~name:"scale-dense-step-400"
         (Staged.stage
            (let tree = Circuit.Large.rc_chain ~sections:400 ~r:10. ~c:1e-13 in
+            let out = Rctree.Tree.output_named tree "out" in
             fun () ->
-              ignore
-                (Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler tree
-                   ~dt:1e-9 ~t_end:1e-9 ~input:Circuit.Transient.step_input)));
+              ignore (step_waves ~solver:`Dense tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ])));
       Test.make ~name:"scale-matrixfree-step-400"
         (Staged.stage
            (let tree = Circuit.Large.rc_chain ~sections:400 ~r:10. ~c:1e-13 in
             let out = Rctree.Tree.output_named tree "out" in
-            fun () ->
-              ignore (Circuit.Large.step_response tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ])));
+            fun () -> ignore (step_waves ~solver:`Cg tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ])));
       (* PR3: one what-if on a 10k-leaf balanced net, memoized vs from scratch *)
       Test.make ~name:"pr3-incremental-edit-10k"
         (Staged.stage
@@ -379,11 +385,8 @@ let scalability_table () =
     (fun n ->
       let tree = Circuit.Large.rc_chain ~sections:n ~r:10. ~c:1e-13 in
       let out = Rctree.Tree.output_named tree "out" in
-      let dense () =
-        Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler tree ~dt:1e-9
-          ~t_end:1e-9 ~input:Circuit.Transient.step_input
-      in
-      let sparse () = Circuit.Large.step_response tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ] in
+      let dense () = step_waves ~solver:`Dense tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ] in
+      let sparse () = step_waves ~solver:`Cg tree ~dt:1e-9 ~t_end:1e-9 ~outputs:[ out ] in
       Reprolib.Table.add_row t
         [
           string_of_int n;
@@ -673,15 +676,12 @@ let treesolve_rows () =
   Obs.set_enabled false;
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
   (* dt giving C/dt about 100x below the edge conductance: stiff enough
-     that CG must iterate, mild enough that it converges at tol 1e-10 *)
+     that CG must iterate, mild enough that it converges at tol 1e-12 *)
   let dt = 1e-10 in
   let measure solver tree outs ~steps =
     let t0 = Unix.gettimeofday () in
-    let w =
-      Circuit.Large.step_response ~solver ~tol:1e-10 tree ~dt
-        ~t_end:(float_of_int steps *. dt) ~outputs:outs
-    in
-    ((Unix.gettimeofday () -. t0) /. float_of_int steps *. 1e3, List.map snd w)
+    let w = step_waves ~solver tree ~dt ~t_end:(float_of_int steps *. dt) ~outputs:outs in
+    ((Unix.gettimeofday () -. t0) /. float_of_int steps *. 1e3, w)
   in
   let max_abs_err ws_a ws_b ~steps =
     let m = ref 0. in
@@ -783,7 +783,7 @@ let write_bench_pr5_json rows =
                   ]) ))
          rows)
   in
-  let doc = Object [ ("cg_tol", Number 1e-10); ("workloads", workloads); ("quick", Bool quick) ] in
+  let doc = Object [ ("cg_tol", Number 1e-12); ("workloads", workloads); ("quick", Bool quick) ] in
   let oc = open_out path in
   output_string oc (to_string doc);
   output_string oc "\n";

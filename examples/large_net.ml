@@ -5,7 +5,7 @@
    at every size we time
 
      - the three characteristic times + bounds (the paper's method),
-     - one backward-Euler step of the matrix-free simulator
+     - one backward-Euler step of the tree-structured simulator
        (what a transient pays per time step),
 
    and, where it is still affordable, a full simulation to confirm the
@@ -13,6 +13,12 @@
    bound — the engineering argument of the whole paper in one table.
 
    Run with: dune exec examples/large_net.exe *)
+
+let step_wave tree ~dt ~t_end ~output =
+  Circuit.Transient.waveform
+    (Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler
+       ~outputs:[ output ] tree ~dt ~t_end ~input:Circuit.Transient.step_input)
+    ~node:output
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -32,17 +38,14 @@ let () =
       let out = Rctree.Tree.output_named tree "out" in
       let (lo, hi), t_bounds = wall (fun () -> Rctree.delay_bounds tree ~output:out ~threshold:0.5) in
       let _, t_step =
-        wall (fun () -> Circuit.Large.step_response tree ~dt:1e-10 ~t_end:1e-10 ~outputs:[ out ])
+        wall (fun () -> step_wave tree ~dt:1e-10 ~t_end:1e-10 ~output:out)
       in
       (* full reference simulation only while cheap: O(n^2) sections*steps *)
       let exact =
         if n <= 800 then begin
           let tau = Rctree.Moments.elmore tree ~output:out in
           let dt = tau /. 400. in
-          let ws =
-            List.assoc out
-              (Circuit.Large.step_response tree ~dt ~t_end:(2. *. tau) ~outputs:[ out ])
-          in
+          let ws = step_wave tree ~dt ~t_end:(2. *. tau) ~output:out in
           match Circuit.Waveform.crossing_time ws ~threshold:0.5 with
           | Some t -> Printf.sprintf "%.3f" (t *. 1e9)
           | None -> "-"
@@ -69,10 +72,7 @@ let () =
   let out = Rctree.Tree.output_named tree "out" in
   let lo, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.5 in
   let tau = Rctree.Moments.elmore tree ~output:out in
-  let ws =
-    List.assoc out
-      (Circuit.Large.step_response tree ~dt:(tau /. 400.) ~t_end:(2. *. tau) ~outputs:[ out ])
-  in
+  let ws = step_wave tree ~dt:(tau /. 400.) ~t_end:(2. *. tau) ~output:out in
   match Circuit.Waveform.crossing_time ws ~threshold:0.5 with
   | Some t ->
       Printf.printf "\nat 400 sections: exact %.3f ns inside [%.3f, %.3f] ns: %b\n" (t *. 1e9)

@@ -23,8 +23,8 @@ let () =
   (* exact reference: simulate the discretized network under each ramp *)
   let lumped = Rctree.Lump.discretize ~segments:32 tree in
   let lout = Rctree.Tree.output_named lumped "out" in
-  let exact_crossing input_fn t_end =
-    let r = Circuit.Transient.simulate lumped ~dt:0.25 ~t_end ~input:input_fn in
+  let exact_crossing input t_end =
+    let r = Circuit.Transient.simulate lumped ~dt:0.25 ~t_end ~input in
     match Circuit.Waveform.crossing_time (Circuit.Transient.waveform r ~node:lout) ~threshold:0.5 with
     | Some t -> t
     | None -> nan
@@ -34,9 +34,9 @@ let () =
     Reprolib.Table.create
       ~columns:[ "input"; "tmin@0.5"; "tmax@0.5"; "exact"; "inside" ]
   in
-  let row name input input_fn t_end =
+  let row name input t_end =
     let lo, hi = Rctree.Excitation.crossing_bounds ts input ~threshold:0.5 in
-    let exact = exact_crossing input_fn t_end in
+    let exact = exact_crossing input t_end in
     Reprolib.Table.add_row table
       [
         name;
@@ -46,20 +46,13 @@ let () =
         string_of_bool (lo <= exact && exact <= hi);
       ]
   in
-  row "ideal step" Rctree.Excitation.unit_step Circuit.Transient.step_input 1500.;
+  row "ideal step" Rctree.Excitation.unit_step 1500.;
   List.iter
     (fun rise ->
-      row
-        (Printf.sprintf "ramp %g" rise)
-        (Rctree.Excitation.ramp ~rise_time:rise)
-        (Circuit.Transient.ramp_input ~rise_time:rise)
-        (1500. +. rise))
+      row (Printf.sprintf "ramp %g" rise) (Rctree.Excitation.ramp ~rise_time:rise) (1500. +. rise))
     [ 100.; 300.; 1000. ];
   (* a two-step staircase: a driver fighting a ratioed load *)
-  row "staircase 2x200"
-    (Rctree.Excitation.staircase ~steps:2 ~rise_time:200.)
-    (fun t -> if t < 0. then 0. else if t < 200. then 0.5 else 1.)
-    1700.;
+  row "staircase 2x200" (Rctree.Excitation.staircase ~steps:2 ~rise_time:200.) 1700.;
   Reprolib.Table.print table;
 
   print_newline ();

@@ -137,7 +137,8 @@ let run_transient o =
     let dt = tau /. 800. in
     let res =
       Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler ~solver:`Direct
-        (Oracle.lumped o) ~dt ~t_end:(3. *. tau) ~input:Circuit.Transient.step_input
+        ~outputs:[ node ] (Oracle.lumped o) ~dt ~t_end:(3. *. tau)
+        ~input:Circuit.Transient.step_input
     in
     let wf = Circuit.Transient.waveform res ~node in
     let violation f =
@@ -160,17 +161,15 @@ let run_direct_solver o =
     let node = Oracle.lumped_output o in
     let tau = Circuit.Exact.dominant_time_constant (Oracle.exact o) in
     let dt = tau /. 100. and t_end = tau in
-    let be solver =
-      List.assoc node
-        (Circuit.Large.step_response ~solver ~tol:1e-12 tree ~dt ~t_end ~outputs:[ node ])
-    in
-    let trap solver =
+    let run integration solver =
       let r =
-        Circuit.Transient.simulate ~integration:Circuit.Transient.Trapezoidal ~solver tree ~dt
-          ~t_end ~input:Circuit.Transient.step_input
+        Circuit.Transient.simulate ~integration ~solver ~outputs:[ node ] tree ~dt ~t_end
+          ~input:Circuit.Transient.step_input
       in
       Circuit.Transient.waveform r ~node
     in
+    let be = run Circuit.Transient.Backward_euler
+    and trap = run Circuit.Transient.Trapezoidal in
     (* direct vs dense differ by factorization roundoff (~eps * kappa);
        CG only meets its relative-residual target, so it gets slack *)
     let agree what tol wa wb =

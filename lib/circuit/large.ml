@@ -1,10 +1,3 @@
-let m_solves = Obs.Counter.make "large.step_responses"
-let m_timesteps = Obs.Counter.make "large.timesteps"
-let m_cg_iterations = Obs.Counter.make "large.cg_iterations"
-let m_iters_per_step = Obs.Histogram.make "large.cg_iterations_per_step"
-
-type solver = [ `Direct | `Cg | `Dense ]
-
 type operator = {
   conductance : float array; (* per node: 1/R of the edge above it; 0 for the input *)
   parent_row : int array; (* row of the parent; -1 when the parent is the driven input *)
@@ -82,6 +75,15 @@ let diagonal op =
       op.c_over_dt.(r) +. op.conductance.(r)
       +. List.fold_left (fun acc child -> acc +. op.conductance.(child)) 0. op.children_rows.(r))
 
+(* the currents of the edges below row [r], added into y.(r): a top-level
+   recursion rather than a List.iter closure, which would be allocated
+   for every row of every step *)
+let rec add_child_currents conductance x y r = function
+  | [] -> ()
+  | child :: rest ->
+      y.(r) <- y.(r) +. (conductance.(child) *. (x.(r) -. x.(child)));
+      add_child_currents conductance x y r rest
+
 (* y = (C/dt + G) x into a caller buffer, walking edges instead of a matrix *)
 let apply_into op x ~into:y =
   let rows = Array.length op.conductance in
@@ -93,9 +95,7 @@ let apply_into op x ~into:y =
     let xp = if op.parent_row.(r) = -1 then 0. else x.(op.parent_row.(r)) in
     y.(r) <- y.(r) +. (op.conductance.(r) *. (x.(r) -. xp));
     (* edges below [r] *)
-    List.iter
-      (fun child -> y.(r) <- y.(r) +. (op.conductance.(child) *. (x.(r) -. x.(child))))
-      op.children_rows.(r)
+    add_child_currents op.conductance x y r op.children_rows.(r)
   done
 
 let apply op x =
@@ -112,87 +112,6 @@ let factor op =
         if op.parent_row.(r) = -1 then 0. else -.op.conductance.(r))
   in
   Numeric.Tree_ldl.factor ~parent:op.parent_row ~diag:(diagonal op) ~offdiag
-
-let step_response ?cap_floor ?(tol = 1e-10) ?(solver = `Direct) tree ~dt ~t_end ~outputs =
-  if t_end < 0. then invalid_arg "Large.step_response: negative t_end";
-  Obs.Span.with_ ~name:"circuit.large" @@ fun () ->
-  Obs.Counter.incr m_solves;
-  let op = operator ?cap_floor tree ~dt in
-  List.iter
-    (fun node ->
-      if node < 0 || node >= Array.length op.row_of_node then
-        invalid_arg "Large.step_response: unknown output node")
-    outputs;
-  let rows = node_count op in
-  let steps = int_of_float (Float.ceil (t_end /. dt)) in
-  (* not Array.init: its closure would box one float per step *)
-  let times = Array.make (steps + 1) 0. in
-  for k = 1 to steps do
-    times.(k) <- float_of_int k *. dt
-  done;
-  let traces = List.map (fun node -> (node, Array.make (steps + 1) 0.)) outputs in
-  let trace_arr = Array.of_list traces in
-  (* plain loops, not List.iter closures: the direct path must not
-     allocate per step *)
-  let record k x =
-    for j = 0 to Array.length trace_arr - 1 do
-      let node, arr = trace_arr.(j) in
-      let r = op.row_of_node.(node) in
-      arr.(k) <- (if r = -1 then 1. else x.(r))
-    done
-  in
-  (* at t = 0 everything is discharged except the (ideal) input *)
-  List.iter (fun (node, arr) -> if op.row_of_node.(node) = -1 then arr.(0) <- 1.) traces;
-  (match solver with
-  | `Direct ->
-      (* factor (C/dt + G) once; each step is two O(n) sweeps in the
-         preallocated buffers — nothing is allocated per step *)
-      let f = factor op in
-      let sources = Array.of_list op.source_rows in
-      let x = ref (Array.make rows 0.) in
-      let rhs = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        let x_now = !x and b = !rhs in
-        for r = 0 to rows - 1 do
-          b.(r) <- op.c_over_dt.(r) *. x_now.(r)
-        done;
-        for j = 0 to Array.length sources - 1 do
-          let r = sources.(j) in
-          b.(r) <- b.(r) +. op.conductance.(r)
-        done;
-        Numeric.Tree_ldl.solve_in_place f b;
-        x := b;
-        rhs := x_now;
-        Obs.Counter.incr m_timesteps;
-        record k b
-      done
-  | `Cg ->
-      let diag = diagonal op in
-      let x = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        (* rhs = C/dt x_prev + b, with b the source injection (u = 1) *)
-        let rhs = Array.mapi (fun r xi -> op.c_over_dt.(r) *. xi) !x in
-        List.iter (fun r -> rhs.(r) <- rhs.(r) +. op.conductance.(r)) op.source_rows;
-        let solution, (stats : Numeric.Cg.stats) =
-          Numeric.Cg.solve ~tol ~diag_precondition:diag ~mul:(apply op) rhs
-        in
-        Obs.Counter.incr m_timesteps;
-        Obs.Counter.add m_cg_iterations stats.Numeric.Cg.iterations;
-        Obs.Histogram.observe m_iters_per_step (float_of_int stats.Numeric.Cg.iterations);
-        x := solution;
-        record k !x
-      done
-  | `Dense ->
-      (* the oracle path: dense MNA stamping + LU, same row numbering *)
-      let sys = Mna.of_tree ?cap_floor tree in
-      let stepper = Numeric.Ode.backward_euler ~c:(Mna.c_matrix sys) ~g:sys.g ~b:sys.b ~dt in
-      let x = ref (Array.make rows 0.) in
-      for k = 1 to steps do
-        x := Numeric.Ode.step stepper ~x:!x ~u_now:1. ~u_next:1.;
-        Obs.Counter.incr m_timesteps;
-        record k !x
-      done);
-  List.map (fun (node, arr) -> (node, Waveform.create ~times ~values:arr)) traces
 
 let rc_chain ~sections ~r ~c =
   if sections < 1 then invalid_arg "Large.rc_chain: need at least one section";

@@ -1,30 +1,19 @@
-(** Transient simulation for large RC trees, without dense matrices.
+(** The matrix-free iteration matrix of a lumped RC tree, for
+    time-stepping without dense matrices.
 
-    The backward-Euler iteration matrix [(C/dt + G)] of an RC tree is
-    SPD and tree-structured, so it admits a perfect elimination order:
+    The implicit-step matrix [(C/dt + G)] of an RC tree is SPD and
+    tree-structured, so it admits a perfect elimination order:
     leaf-to-root LDLᵀ factorization has {e zero} fill-in
-    ({!Numeric.Tree_ldl}).  The default [`Direct] solver factors once
-    per [(tree, dt)] in O(n) and then advances each time step with two
-    O(n) triangular sweeps in preallocated buffers — no per-step
-    allocation, no tolerance knob, no iteration count.  Memory stays
-    O(n), so million-node nets complete a full step response without a
-    dense matrix ever being formed.
+    ({!Numeric.Tree_ldl}).  {!factor} does that once per [(tree, dt)]
+    in O(n); every time step is then two O(n) triangular sweeps.
+    {!apply} multiplies by the matrix straight off the tree edges,
+    which is what the conjugate-gradient solver needs.  Memory stays
+    O(n), so million-node nets step without a dense matrix ever being
+    formed.
 
-    Two slower paths survive as oracles behind the [solver] selector:
-    [`Cg], the matrix-free Jacobi-preconditioned conjugate-gradient
-    iteration (whose per-step iteration count grows with chain depth
-    on stiff nets — the reason a 100 000-node deep chain was {e not} a
-    non-event before the direct solver), and [`Dense], the MNA + LU
-    stamping of {!Transient} restricted to the requested outputs.
-
-    Accepts the same trees as {!Mna.of_tree} (lumped, positive edge
-    resistances). *)
-
-type solver = [ `Direct | `Cg | `Dense ]
-(** [`Direct] — factor-once zero-fill-in tree LDLᵀ (the default);
-    [`Cg] — matrix-free conjugate gradients, one iterative solve per
-    step; [`Dense] — dense MNA stamping and LU, O(n²) memory, the
-    cross-check oracle for small nets. *)
+    The stepping loop itself lives in {!Transient.simulate}; this
+    module only builds the operator.  Accepts the same trees as
+    {!Mna.of_tree} (lumped, positive edge resistances). *)
 
 type operator
 (** The matrix-free [(C/dt + G)] of one tree at one step size. *)
@@ -46,8 +35,8 @@ val row : operator -> Rctree.Tree.node_id -> int
     [Invalid_argument] on an unknown node. *)
 
 val diagonal : operator -> Numeric.Vector.t
-(** The matrix diagonal — the Jacobi preconditioner of the [`Cg]
-    path. *)
+(** The matrix diagonal — the Jacobi preconditioner of the
+    conjugate-gradient solver. *)
 
 val c_over_dt : operator -> Numeric.Vector.t
 (** The [C/dt] diagonal by row — borrowed, do not mutate.  With the
@@ -60,22 +49,6 @@ val source_rows : operator -> (int * float) list
 val factor : operator -> Numeric.Tree_ldl.t
 (** Leaf-first zero-fill-in LDLᵀ of [(C/dt + G)].  O(n); reusable
     across every step taken at this [(tree, dt)]. *)
-
-val step_response :
-  ?cap_floor:float ->
-  ?tol:float ->
-  ?solver:solver ->
-  Rctree.Tree.t ->
-  dt:float ->
-  t_end:float ->
-  outputs:Rctree.Tree.node_id list ->
-  (Rctree.Tree.node_id * Waveform.t) list
-(** Backward-Euler unit-step response, recording only the requested
-    nodes.  [solver] selects the per-step linear solver (default
-    [`Direct]); all three produce the same discrete trajectory up to
-    solver roundoff ([`Cg] to its [tol], the CG relative-residual
-    target, default 1e-10 and ignored by the other solvers).  Raises
-    [Invalid_argument] on bad [dt]/[t_end] or unknown nodes. *)
 
 val rc_chain : sections:int -> r:float -> c:float -> Rctree.Tree.t
 (** A test/bench workload: a uniform chain of [sections] RC sections

@@ -7,24 +7,40 @@ let m_nodes = Obs.Histogram.make "transient.nodes_per_sim"
 
 type result = {
   times : float array;
-  node_values : float array array; (* indexed by tree node id, then sample *)
+  slot : (Rctree.Tree.node_id, int) Hashtbl.t; (* recorded node -> index into [values] *)
+  values : float array array; (* per recorded node, then sample *)
 }
 
-let step_input t = if t < 0. then 0. else 1.
+let step_input = Rctree.Excitation.unit_step
 
-let ramp_input ~rise_time t =
-  if rise_time <= 0. then invalid_arg "Transient.ramp_input: rise_time must be positive";
-  if t <= 0. then 0. else if t >= rise_time then 1. else t /. rise_time
+(* the grid of Numeric.Ode.simulate, t_{k+1} = t_k + dt until t_end is
+   reached, with the same float accumulation; float refs in loops, so
+   nothing is boxed *)
+let time_grid ~dt ~t_end =
+  let samples = ref 1 and t = ref 0. in
+  while !t < t_end do
+    t := !t +. dt;
+    incr samples
+  done;
+  let times = Array.make !samples 0. in
+  for k = 1 to !samples - 1 do
+    times.(k) <- times.(k - 1) +. dt
+  done;
+  times
 
-(* sample count of Numeric.Ode.simulate, with the same float
-   accumulation, so every solver produces identical time grids *)
-let sample_count ~dt ~t_end =
-  let rec go t k = if t >= t_end then k else go (t +. dt) (k + 1) in
-  go 0. 1
+(* One solver's view of the discrete system: the state row of each tree
+   node (-1 for the driven input), the state size, and the step from
+   sample k to k + 1, which may reuse the storage of the state it is
+   given. *)
+type stepper = {
+  row : Rctree.Tree.node_id -> int;
+  rows : int;
+  step : int -> float array -> float array;
+}
 
-(* the [`Dense] oracle path: dense MNA stamping + one LU factorization
-   shared by every step (Numeric.Ode) *)
-let simulate_dense ~integration ?cap_floor tree ~dt ~t_end ~input =
+(* the [`Dense] oracle: dense MNA stamping + one LU factorization shared
+   by every step (Numeric.Ode), independent of the tree operator *)
+let dense_stepper ~integration ?cap_floor tree ~dt ~u =
   let sys = Mna.of_tree ?cap_floor tree in
   let c = Mna.c_matrix sys in
   let stepper =
@@ -32,113 +48,115 @@ let simulate_dense ~integration ?cap_floor tree ~dt ~t_end ~input =
     | Backward_euler -> Numeric.Ode.backward_euler ~c ~g:sys.g ~b:sys.b ~dt
     | Trapezoidal -> Numeric.Ode.trapezoidal ~c ~g:sys.g ~b:sys.b ~dt
   in
-  let rows = Numeric.Vector.dim sys.b in
-  let trajectory =
-    Numeric.Ode.simulate stepper ~x0:(Numeric.Vector.create rows) ~u:input ~t_end
-  in
-  let samples = List.length trajectory in
-  let times = Array.make samples 0. in
-  let n = Array.length sys.Mna.row_of_node in
-  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
-  List.iteri
-    (fun k (t, x) ->
-      times.(k) <- t;
-      for node = 0 to n - 1 do
-        let row = sys.Mna.row_of_node.(node) in
-        node_values.(node).(k) <- (if row = -1 then input t else x.(row))
-      done)
-    trajectory;
-  { times; node_values }
+  {
+    row = (fun node -> sys.Mna.row_of_node.(node));
+    rows = Numeric.Vector.dim sys.b;
+    step = (fun k x -> Numeric.Ode.step stepper ~x ~u_now:u.(k) ~u_next:u.(k + 1));
+  }
 
-(* the tree-structured paths.  The iteration matrix is (C/dt' + G)
-   with dt' = dt for backward Euler and dt' = dt/2 for trapezoidal
-   (so [Large.operator ~dt:dt'] stamps exactly 2C/dt + G); each step
-   solves it either through the factor-once zero-fill-in LDLᵀ
-   ([`Direct], two O(n) sweeps) or by matrix-free CG ([`Cg]). *)
-let simulate_sparse ~integration ~solver ?cap_floor tree ~dt ~t_end ~input =
+(* the right-hand side of the step from sample k, into [rhs]:
+     backward Euler  rhs = C/dt x + b u_{k+1}
+     trapezoidal     rhs = (2C/dt - G) x + b (u_k + u_{k+1})
+                         = 2 (2C/dt) x - (2C/dt + G) x + b (u_k + u_{k+1}) *)
+let assemble ~integration op ~c_over_dt ~sources ~u k x rhs =
+  let rows = Array.length rhs in
+  (match integration with
+  | Backward_euler ->
+      for r = 0 to rows - 1 do
+        rhs.(r) <- c_over_dt.(r) *. x.(r)
+      done
+  | Trapezoidal ->
+      Large.apply_into op x ~into:rhs;
+      for r = 0 to rows - 1 do
+        rhs.(r) <- (2. *. c_over_dt.(r) *. x.(r)) -. rhs.(r)
+      done);
+  let drive =
+    match integration with Backward_euler -> u.(k + 1) | Trapezoidal -> u.(k) +. u.(k + 1)
+  in
+  for j = 0 to Array.length sources - 1 do
+    let r, g = sources.(j) in
+    rhs.(r) <- rhs.(r) +. (g *. drive)
+  done
+
+(* the tree-structured solvers.  The iteration matrix is (C/dt' + G)
+   with dt' = dt for backward Euler and dt' = dt/2 for trapezoidal (so
+   [Large.operator ~dt:dt'] stamps exactly 2C/dt + G); each step solves
+   it either through the factor-once zero-fill-in LDLᵀ ([`Direct], two
+   O(n) sweeps in place, nothing allocated) or by matrix-free CG
+   ([`Cg]). *)
+let tree_stepper ~integration ~solver ?cap_floor tree ~dt ~u =
   let op_dt = match integration with Backward_euler -> dt | Trapezoidal -> dt /. 2. in
   let op = Large.operator ?cap_floor tree ~dt:op_dt in
   let rows = Large.node_count op in
-  let c_over_dt = Large.c_over_dt op in
-  let sources = Large.source_rows op in
-  let samples = sample_count ~dt ~t_end in
-  let n = Rctree.Tree.node_count tree in
-  let times = Array.make samples 0. in
-  let node_values = Array.init n (fun _ -> Array.make samples 0.) in
-  let record k t x =
-    times.(k) <- t;
-    for node = 0 to n - 1 do
-      let row = Large.row op node in
-      node_values.(node).(k) <- (if row = -1 then input t else x.(row))
-    done
-  in
+  let c_over_dt = Large.c_over_dt op and sources = Array.of_list (Large.source_rows op) in
+  let rhs = Array.make rows 0. in
   let solve =
     match solver with
     | `Direct ->
         let f = Large.factor op in
-        fun rhs ->
-          Numeric.Tree_ldl.solve_in_place f rhs;
-          rhs
+        fun b ->
+          Numeric.Tree_ldl.solve_in_place f b;
+          b
     | `Cg ->
-        let diag = Large.diagonal op in
-        fun rhs ->
-          fst (Numeric.Cg.solve ~tol:1e-12 ~diag_precondition:diag ~mul:(Large.apply op) rhs)
+        let diag = Large.diagonal op and mul = Large.apply op in
+        fun b -> fst (Numeric.Cg.solve ~tol:1e-12 ~diag_precondition:diag ~mul b)
   in
-  let x = ref (Array.make rows 0.) in
-  let rhs = Array.make rows 0. in
-  record 0 0. !x;
-  let t = ref 0. in
-  for k = 1 to samples - 1 do
-    let t' = !t +. dt in
-    let u_now = input !t and u_next = input t' in
-    (match integration with
-    | Backward_euler ->
-        (* rhs = C/dt x_n + b u_{n+1} *)
-        for r = 0 to rows - 1 do
-          rhs.(r) <- c_over_dt.(r) *. !x.(r)
-        done;
-        List.iter (fun (r, g) -> rhs.(r) <- rhs.(r) +. (g *. u_next)) sources
-    | Trapezoidal ->
-        (* rhs = (2C/dt - G) x_n + b (u_n + u_{n+1})
-               = 2 (2C/dt) x_n - (2C/dt + G) x_n + b (u_n + u_{n+1}) *)
-        Large.apply_into op !x ~into:rhs;
-        for r = 0 to rows - 1 do
-          rhs.(r) <- (2. *. c_over_dt.(r) *. !x.(r)) -. rhs.(r)
-        done;
-        List.iter (fun (r, g) -> rhs.(r) <- rhs.(r) +. (g *. (u_now +. u_next))) sources);
-    let x' = solve (Array.blit rhs 0 !x 0 rows; !x) in
-    x := x';
-    Obs.Counter.incr m_steps;
-    record k t' !x;
-    t := t'
-  done;
-  { times; node_values }
+  {
+    row = Large.row op;
+    rows;
+    step =
+      (fun k x ->
+        assemble ~integration op ~c_over_dt ~sources ~u k x rhs;
+        Array.blit rhs 0 x 0 rows;
+        solve x);
+  }
 
-let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor tree ~dt ~t_end ~input
-    =
-  if dt <= 0. then invalid_arg "Transient.simulate: dt must be positive";
-  if t_end < 0. then invalid_arg "Transient.simulate: t_end must be non-negative";
+let simulate ?(integration = Trapezoidal) ?(solver = `Direct) ?cap_floor ?outputs tree ~dt
+    ~t_end ~input =
+  if not (dt > 0. && Float.is_finite dt) then
+    invalid_arg "Transient.simulate: dt must be positive";
+  if not (t_end >= 0. && Float.is_finite t_end) then
+    invalid_arg "Transient.simulate: t_end must be non-negative";
+  let n = Rctree.Tree.node_count tree in
+  let nodes =
+    Array.of_list
+      (match outputs with Some nodes -> nodes | None -> List.map snd (Rctree.Tree.outputs tree))
+  in
+  Array.iter
+    (fun node -> if node < 0 || node >= n then invalid_arg "Transient.simulate: unknown node")
+    nodes;
   Obs.Span.with_ ~name:"circuit.transient" @@ fun () ->
   Obs.Counter.incr m_simulations;
-  let result =
+  let times = time_grid ~dt ~t_end in
+  let u = Rctree.Excitation.sample input times in
+  let s =
     match solver with
-    | `Dense ->
-        let r = simulate_dense ~integration ?cap_floor tree ~dt ~t_end ~input in
-        Obs.Counter.add m_steps (Array.length r.times - 1);
-        r
-    | (`Direct | `Cg) as solver ->
-        simulate_sparse ~integration ~solver ?cap_floor tree ~dt ~t_end ~input
+    | `Dense -> dense_stepper ~integration ?cap_floor tree ~dt ~u
+    | (`Direct | `Cg) as solver -> tree_stepper ~integration ~solver ?cap_floor tree ~dt ~u
   in
-  Obs.Histogram.observe m_nodes (float_of_int (Rctree.Tree.node_count tree - 1));
-  result
+  let rows = Array.map s.row nodes in
+  let values = Array.map (fun _ -> Array.make (Array.length times) 0.) nodes in
+  (* plain loops, not closures over floats: the [`Direct] path must not
+     allocate per step *)
+  let record k x =
+    for j = 0 to Array.length rows - 1 do
+      let r = rows.(j) in
+      values.(j).(k) <- (if r = -1 then u.(k) else x.(r))
+    done
+  in
+  let x = ref (Array.make s.rows 0.) in
+  record 0 !x;
+  for k = 0 to Array.length times - 2 do
+    x := s.step k !x;
+    Obs.Counter.incr m_steps;
+    record (k + 1) !x
+  done;
+  Obs.Histogram.observe m_nodes (float_of_int (n - 1));
+  let slot = Hashtbl.create (Array.length nodes) in
+  Array.iteri (fun j node -> if not (Hashtbl.mem slot node) then Hashtbl.add slot node j) nodes;
+  { times; slot; values }
 
 let waveform r ~node =
-  if node < 0 || node >= Array.length r.node_values then
-    invalid_arg "Transient.waveform: unknown node";
-  Waveform.create ~times:r.times ~values:r.node_values.(node)
-
-let nodes r = List.init (Array.length r.node_values) Fun.id
-
-let final_voltages r =
-  let last = Array.length r.times - 1 in
-  List.map (fun node -> (node, r.node_values.(node).(last))) (nodes r)
+  match Hashtbl.find_opt r.slot node with
+  | Some j -> Waveform.create ~times:r.times ~values:r.values.(j)
+  | None -> invalid_arg "Transient.waveform: node not recorded"

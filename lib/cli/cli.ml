@@ -24,7 +24,7 @@
 
    Exit codes: 0 success, 1 run-time failure (including a failed
    certification), 2 unreadable input — a deck or netlist that does
-   not parse or elaborate. *)
+   not parse or elaborate, or a flag value out of range. *)
 
 let load_tree path =
   match Spice.Parser.parse_file path with
@@ -114,104 +114,93 @@ let certify_cmd path threshold deadline =
         verdicts;
       if !all_pass then 0 else 1)
 
+(* Flag checks run before the deck is read: the first one that fails
+   is exit 2 with a message naming the flag, like unreadable input. *)
+let flag_error cmd msg =
+  prerr_endline (cmd ^ ": " ^ msg);
+  2
+
+let check_flags cmd errors k =
+  match List.find_map Fun.id errors with Some msg -> flag_error cmd msg | None -> k ()
+
+let require ok msg = if ok then None else Some msg
+let positive_time flag t = require (Float.is_finite t && t > 0.) (flag ^ " must be a positive time")
+let samples_flag samples = require (samples >= 2) "--samples must be at least 2"
+let segments_flag segments = require (segments >= 1) "--segments must be at least 1"
+
+let lump ~segments tree =
+  if Rctree.Tree.has_distributed_lines tree then Rctree.Lump.discretize ~segments tree else tree
+
+(* the CSV of [simulate] and [transient]: a "t,<labels>" header, then one
+   row per time of the evenly spaced grid *)
+let sample_times ~t_end ~samples =
+  Array.init samples (fun i -> t_end *. float_of_int i /. float_of_int (samples - 1))
+
+let print_csv times waves =
+  print_string (String.concat "," ("t" :: List.map fst waves));
+  print_newline ();
+  Array.iter
+    (fun t ->
+      let cells =
+        List.map (fun (_, w) -> Printf.sprintf "%.6g" (Circuit.Waveform.value_at w t)) waves
+      in
+      print_string (String.concat "," (Printf.sprintf "%.6g" t :: cells));
+      print_newline ())
+    times
+
 let simulate_cmd path t_end samples segments =
+  check_flags "simulate"
+    [ positive_time "--t-end" t_end; samples_flag samples; segments_flag segments ]
+  @@ fun () ->
   with_tree path (fun tree ->
-      if t_end <= 0. then begin
-        prerr_endline "simulate: --t-end must be positive";
-        1
-      end
-      else begin
-        let times =
-          Array.init samples (fun i -> t_end *. float_of_int i /. float_of_int (samples - 1))
-        in
-        let outs = Rctree.Tree.outputs tree in
-        let waves =
-          List.map
-            (fun (label, id) ->
-              (label, Circuit.Measure.exact_response ~segments tree ~output:id ~times))
-            outs
-        in
-        print_string (String.concat "," ("t" :: List.map fst waves));
-        print_newline ();
-        Array.iter
-          (fun t ->
-            let cells =
-              List.map (fun (_, w) -> Printf.sprintf "%.6g" (Circuit.Waveform.value_at w t)) waves
-            in
-            print_string (String.concat "," (Printf.sprintf "%.6g" t :: cells));
-            print_newline ())
-          times;
-        0
-      end)
+      let times = sample_times ~t_end ~samples in
+      print_csv times
+        (List.map
+           (fun (label, id) ->
+             (label, Circuit.Measure.exact_response ~segments tree ~output:id ~times))
+           (Rctree.Tree.outputs tree));
+      0)
 
 (* time-stepping counterpart of [simulate]: same CSV shape, but through
    Circuit.Transient with the per-step solver selectable, so waveforms
    from the factor-once tree LDL^T can be diffed against the CG and
    dense-LU oracles from the shell *)
 let transient_cmd path dt t_end solver integration samples segments =
-  with_tree path (fun tree ->
-      let bad msg =
-        prerr_endline ("transient: " ^ msg);
-        2
-      in
-      match
-        ( (match String.lowercase_ascii solver with
-          | "direct" -> Ok `Direct
-          | "cg" -> Ok `Cg
-          | "dense" -> Ok `Dense
-          | s -> Error (Printf.sprintf "unknown solver %S (expected direct, cg or dense)" s)),
-          match String.lowercase_ascii integration with
-          | "trap" | "trapezoidal" -> Ok Circuit.Transient.Trapezoidal
-          | "be" | "backward-euler" -> Ok Circuit.Transient.Backward_euler
-          | s ->
-              Error (Printf.sprintf "unknown integration %S (expected trap or be)" s) )
-      with
-      | Error m, _ | _, Error m -> bad m
-      | Ok solver, Ok integration ->
-          if t_end <= 0. then begin
-            prerr_endline "transient: --t-end must be positive";
-            1
-          end
-          else begin
-            let dt = match dt with Some d -> d | None -> t_end /. 1000. in
-            if dt <= 0. then begin
-              prerr_endline "transient: --dt must be positive";
-              1
-            end
-            else begin
-              let lumped =
-                if Rctree.Tree.has_distributed_lines tree then
-                  Rctree.Lump.discretize ~segments tree
-                else tree
-              in
-              let res =
-                Circuit.Transient.simulate ~integration ~solver lumped ~dt ~t_end
-                  ~input:Circuit.Transient.step_input
-              in
-              let waves =
-                List.map
-                  (fun (label, id) -> (label, Circuit.Transient.waveform res ~node:id))
-                  (Rctree.Tree.outputs lumped)
-              in
-              let times =
-                Array.init samples (fun i ->
-                    t_end *. float_of_int i /. float_of_int (samples - 1))
-              in
-              print_string (String.concat "," ("t" :: List.map fst waves));
-              print_newline ();
-              Array.iter
-                (fun t ->
-                  let cells =
-                    List.map
-                      (fun (_, w) -> Printf.sprintf "%.6g" (Circuit.Waveform.value_at w t))
-                      waves
-                  in
-                  print_string (String.concat "," (Printf.sprintf "%.6g" t :: cells));
-                  print_newline ())
-                times;
-              0
-            end
-          end)
+  let solver =
+    match String.lowercase_ascii solver with
+    | "direct" -> Ok `Direct
+    | "cg" -> Ok `Cg
+    | "dense" -> Ok `Dense
+    | s -> Error (Printf.sprintf "unknown solver %S (expected direct, cg or dense)" s)
+  and integration =
+    match String.lowercase_ascii integration with
+    | "trap" | "trapezoidal" -> Ok Circuit.Transient.Trapezoidal
+    | "be" | "backward-euler" -> Ok Circuit.Transient.Backward_euler
+    | s -> Error (Printf.sprintf "unknown integration %S (expected trap or be)" s)
+  in
+  match (solver, integration) with
+  | Error msg, _ | _, Error msg -> flag_error "transient" msg
+  | Ok solver, Ok integration ->
+      let dt = Option.value dt ~default:(t_end /. 1000.) in
+      check_flags "transient"
+        [
+          positive_time "--t-end" t_end;
+          positive_time "--dt" dt;
+          samples_flag samples;
+          segments_flag segments;
+        ]
+      @@ fun () ->
+      with_tree path (fun tree ->
+          let lumped = lump ~segments tree in
+          let res =
+            Circuit.Transient.simulate ~integration ~solver lumped ~dt ~t_end
+              ~input:Circuit.Transient.step_input
+          in
+          print_csv (sample_times ~t_end ~samples)
+            (List.map
+               (fun (label, id) -> (label, Circuit.Transient.waveform res ~node:id))
+               (Rctree.Tree.outputs lumped));
+          0)
 
 let pla_cmd minterms threshold =
   let process = Tech.Process.default_4um in
@@ -251,11 +240,9 @@ let ramp_cmd path rise threshold =
       end)
 
 let moments_cmd path order segments =
+  check_flags "moments" [ segments_flag segments ] @@ fun () ->
   with_tree path (fun tree ->
-      let lumped =
-        if Rctree.Tree.has_distributed_lines tree then Rctree.Lump.discretize ~segments tree
-        else tree
-      in
+      let lumped = lump ~segments tree in
       let columns = "output" :: List.init order (fun j -> Printf.sprintf "m%d" (j + 1)) @ [ "model" ] in
       let table = Reprolib.Table.create ~columns in
       List.iter
@@ -272,11 +259,9 @@ let moments_cmd path order segments =
       0)
 
 let ac_cmd path points segments =
+  check_flags "ac" [ segments_flag segments ] @@ fun () ->
   with_tree path (fun tree ->
-      let lumped =
-        if Rctree.Tree.has_distributed_lines tree then Rctree.Lump.discretize ~segments tree
-        else tree
-      in
+      let lumped = lump ~segments tree in
       let ac = Circuit.Ac.of_tree lumped in
       List.iter
         (fun (label, id) ->
@@ -571,8 +556,9 @@ let stats_cmd () =
        with
       | Ok deck -> ignore (Spice.Elaborate.to_tree deck)
       | Error _ -> ());
-      (* both the default factor-once tree LDL^T path and the dense
-         MNA + LU oracle, so treesolve.* and lu/ode counters all fire *)
+      (* all three per-step solvers: the default factor-once tree LDL^T,
+         the dense MNA + LU oracle and CG, so treesolve.*, lu/ode and cg
+         counters all fire *)
       ignore
         (Circuit.Transient.simulate lumped ~dt:5. ~t_end:100.
            ~input:Circuit.Transient.step_input);
@@ -581,10 +567,9 @@ let stats_cmd () =
            ~input:Circuit.Transient.step_input);
       ignore (Circuit.Exact.of_tree lumped);
       let chain = Circuit.Large.rc_chain ~sections:64 ~r:10. ~c:1e-13 in
-      let out = Rctree.Tree.output_named chain "out" in
-      ignore (Circuit.Large.step_response chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
       ignore
-        (Circuit.Large.step_response ~solver:`Cg chain ~dt:1e-10 ~t_end:2e-9 ~outputs:[ out ]);
+        (Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler ~solver:`Cg
+           chain ~dt:1e-10 ~t_end:2e-9 ~input:Circuit.Transient.step_input);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
       (* the parallel engine: the adder's per-net delays through a
@@ -628,7 +613,7 @@ let stats_cmd () =
       [
         "cg.iterations"; "eigen.decompositions"; "lu.factorizations"; "ode.steps";
         "treesolve.factors"; "treesolve.solves";
-        "transient.simulations"; "large.timesteps"; "expr.evals"; "convert.tree_of_expr";
+        "transient.simulations"; "transient.steps"; "expr.evals"; "convert.tree_of_expr";
         "spice.decks_parsed"; "spice.elaborations"; "sta.instances_visited";
         "pool.jobs"; "pool.chunks"; "rctree.analysis_handles"; "rctree.analysis_nodes";
         "rctree.analysis_batches";

@@ -39,19 +39,30 @@ let staircase ~steps ~rise_time =
   done;
   make (List.rev !pts)
 
-let value { points } t =
+(* one walk over the breakpoints for the whole (nondecreasing) grid,
+   in plain loops: no closure and no boxed float per sample.  [!i] is the
+   rightmost breakpoint with time <= t (right-continuity at jumps). *)
+let sample { points } times =
   let n = Array.length points in
-  if t < fst points.(0) then 0.
-  else begin
-    (* rightmost breakpoint with time <= t (right-continuity at jumps) *)
-    let rec last i best = if i >= n then best else if fst points.(i) <= t then last (i + 1) i else best in
-    let i = last 0 0 in
-    if i = n - 1 then snd points.(i)
-    else begin
-      let t0, u0 = points.(i) and t1, u1 = points.(i + 1) in
-      u0 +. ((t -. t0) /. (t1 -. t0) *. (u1 -. u0))
-    end
-  end
+  let out = Array.make (Array.length times) 0. in
+  let i = ref 0 in
+  for k = 0 to Array.length times - 1 do
+    let t = times.(k) in
+    if k > 0 && t < times.(k - 1) then invalid_arg "Excitation.sample: times must be nondecreasing";
+    while !i + 1 < n && fst points.(!i + 1) <= t do
+      incr i
+    done;
+    if t >= fst points.(0) then
+      out.(k) <-
+        (if !i = n - 1 then snd points.(!i)
+         else begin
+           let t0, u0 = points.(!i) and t1, u1 = points.(!i + 1) in
+           u0 +. ((t -. t0) /. (t1 -. t0) *. (u1 -. u0))
+         end)
+  done;
+  out
+
+let value u t = (sample u [| t |]).(0)
 
 let final_value { points } = snd points.(Array.length points - 1)
 

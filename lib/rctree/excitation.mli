@@ -48,6 +48,11 @@ val staircase : steps:int -> rise_time:float -> t
 val value : t -> float -> float
 (** The input waveform itself. *)
 
+val sample : t -> float array -> float array
+(** [sample u times] is [value u] at each of the nondecreasing [times],
+    in one pass and without allocating per sample.  Raises
+    [Invalid_argument] when the times decrease. *)
+
 val final_value : t -> float
 
 val response_bounds : ?points_per_segment:int -> Times.t -> t -> float -> float * float

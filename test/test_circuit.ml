@@ -206,27 +206,59 @@ let transient_tests =
     Alcotest.test_case "ramp input settles to 1" `Quick (fun () ->
         let tree = single_pole () in
         let node = Rctree.Tree.output_named tree "out" in
-        let r = simulate tree ~dt:5e-8 ~t_end:1e-5 ~input:(ramp_input ~rise_time:1e-6) in
+        let r =
+          simulate tree ~dt:5e-8 ~t_end:1e-5 ~input:(Rctree.Excitation.ramp ~rise_time:1e-6)
+        in
         let w = waveform r ~node in
         check_close ~eps:1e-3 "final" 1. (Circuit.Waveform.final_value w));
     Alcotest.test_case "input node waveform is the input" `Quick (fun () ->
         let tree = single_pole () in
-        let r = simulate tree ~dt:1e-7 ~t_end:1e-6 ~input:step_input in
-        let w = waveform r ~node:(Rctree.Tree.input tree) in
+        let input = Rctree.Tree.input tree in
+        let r = simulate ~outputs:[ input ] tree ~dt:1e-7 ~t_end:1e-6 ~input:step_input in
+        let w = waveform r ~node:input in
         check_close "u" 1. (Circuit.Waveform.value_at w 5e-7));
     Alcotest.test_case "nodes listed" `Quick (fun () ->
+        (* by default exactly the marked outputs are recorded *)
         let tree = ladder2 () in
         let r = simulate tree ~dt:0.1 ~t_end:1. ~input:step_input in
-        check_int "n" 3 (List.length (nodes r)));
+        ignore (waveform r ~node:(Rctree.Tree.output_named tree "out"));
+        check_invalid "unmarked node" (fun () ->
+            waveform r ~node:(Option.get (Rctree.Tree.find_node tree "n1")));
+        check_invalid "input" (fun () -> waveform r ~node:(Rctree.Tree.input tree)));
     Alcotest.test_case "final voltages approach 1" `Quick (fun () ->
         let tree = ladder2 () in
-        let r = simulate tree ~dt:0.01 ~t_end:30. ~input:step_input in
-        List.iter (fun (_, v) -> check_close ~eps:1e-4 "1V" 1. v) (final_voltages r));
+        let every = List.init (Rctree.Tree.node_count tree) Fun.id in
+        let r = simulate ~outputs:every tree ~dt:0.01 ~t_end:30. ~input:step_input in
+        List.iter
+          (fun node ->
+            check_close ~eps:1e-4 "1V" 1. (Circuit.Waveform.final_value (waveform r ~node)))
+          every);
+    Alcotest.test_case "only the requested nodes are recorded" `Quick (fun () ->
+        (* a three-step staircase: the input node's waveform is the
+           excitation at every sample, the jumps included *)
+        let tree = ladder2 () in
+        let input = Rctree.Tree.input tree in
+        let n1 = Option.get (Rctree.Tree.find_node tree "n1") in
+        let out = Rctree.Tree.output_named tree "out" in
+        let u = Rctree.Excitation.staircase ~steps:3 ~rise_time:1. in
+        List.iter
+          (fun solver ->
+            let r = simulate ~solver ~outputs:[ input; n1 ] tree ~dt:0.25 ~t_end:2. ~input:u in
+            let third = 1. /. 3. and two_thirds = 2. /. 3. in
+            Alcotest.(check (array (float 0.)))
+              "sampled input"
+              [| third; third; two_thirds; two_thirds; 1.; 1.; 1.; 1.; 1. |]
+              (Circuit.Waveform.values (waveform r ~node:input));
+            ignore (waveform r ~node:n1);
+            check_invalid "marked output not requested" (fun () -> waveform r ~node:out))
+          [ `Direct; `Cg; `Dense ]);
     Alcotest.test_case "bad dt raises" `Quick (fun () ->
         check_invalid "dt" (fun () ->
-            simulate (single_pole ()) ~dt:0. ~t_end:1. ~input:step_input));
+            simulate (single_pole ()) ~dt:0. ~t_end:1. ~input:step_input);
+        check_invalid "t_end" (fun () ->
+            simulate (single_pole ()) ~dt:1. ~t_end:Float.infinity ~input:step_input));
     Alcotest.test_case "ramp validates rise time" `Quick (fun () ->
-        check_invalid "rise" (fun () -> ramp_input ~rise_time:0. 1.));
+        check_invalid "rise" (fun () -> Rctree.Excitation.ramp ~rise_time:0.));
   ]
 
 let measure_tests =
@@ -258,7 +290,38 @@ let measure_tests =
         check_bool "same" true (Circuit.Measure.discretize_for_simulation tree == tree));
   ]
 
-(* --- Large (matrix-free) --------------------------------------------- *)
+(* --- Large (matrix-free operator) and the stepping core on it -------- *)
+
+(* backward-Euler unit-step response of one node *)
+let step_wave ?solver tree ~dt ~t_end ~node =
+  Circuit.Transient.waveform
+    (Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler ?solver
+       ~outputs:[ node ] tree ~dt ~t_end ~input:Circuit.Transient.step_input)
+    ~node
+
+(* minor-heap growth of the stepping core must not scale with the step
+   count: compare a short and a 10x longer run of the same net (metrics
+   disabled); any per-step closure or boxing would add >= thousands of
+   words *)
+let check_no_step_allocation integration =
+  let tree = Circuit.Large.rc_chain ~sections:200 ~r:10. ~c:1e-13 in
+  let out = Rctree.Tree.output_named tree "out" in
+  let tau = Rctree.Moments.elmore tree ~output:out in
+  let delta steps =
+    let dt = tau /. float_of_int steps in
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    ignore
+      (Circuit.Transient.simulate ~integration ~outputs:[ out ] tree ~dt ~t_end:tau
+         ~input:Circuit.Transient.step_input);
+    Gc.minor_words () -. w0
+  in
+  ignore (delta 100) (* warm-up *);
+  let short = delta 500 and long = delta 5000 in
+  check_bool
+    (Printf.sprintf "minor words independent of steps (%.0f vs %.0f)" short long)
+    true
+    (Float.abs (long -. short) < 1000.)
 
 let large_tests =
   let open Circuit.Large in
@@ -279,12 +342,8 @@ let large_tests =
         let tree = rc_chain ~sections:12 ~r:100. ~c:1e-12 in
         let out = Rctree.Tree.output_named tree "out" in
         let dt = 5e-11 and t_end = 1e-8 in
-        let dense =
-          Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler tree ~dt ~t_end
-            ~input:Circuit.Transient.step_input
-        in
-        let wd = Circuit.Transient.waveform dense ~node:out in
-        let ws = List.assoc out (step_response tree ~dt ~t_end ~outputs:[ out ]) in
+        let wd = step_wave ~solver:`Dense tree ~dt ~t_end ~node:out in
+        let ws = step_wave tree ~dt ~t_end ~node:out in
         List.iter
           (fun t ->
             check_close ~eps:1e-7 "v" (Circuit.Waveform.value_at wd t)
@@ -294,27 +353,25 @@ let large_tests =
         let tree = rc_chain ~sections:2000 ~r:1. ~c:1e-12 in
         let out = Rctree.Tree.output_named tree "out" in
         let tau = Rctree.Moments.elmore tree ~output:out in
-        let ws = List.assoc out (step_response tree ~dt:(tau /. 5.) ~t_end:tau ~outputs:[ out ]) in
+        let ws = step_wave tree ~dt:(tau /. 5.) ~t_end:tau ~node:out in
         let final = Circuit.Waveform.final_value ws in
         check_bool "charging" true (final > 0.3 && final < 1.));
     Alcotest.test_case "input node recorded as the source" `Quick (fun () ->
         let tree = rc_chain ~sections:3 ~r:1. ~c:1. in
-        let input = Rctree.Tree.input tree in
-        let ws = List.assoc input (step_response tree ~dt:0.5 ~t_end:2. ~outputs:[ input ]) in
+        let ws = step_wave tree ~dt:0.5 ~t_end:2. ~node:(Rctree.Tree.input tree) in
         check_close "source" 1. (Circuit.Waveform.final_value ws));
     Alcotest.test_case "validation" `Quick (fun () ->
         let tree = rc_chain ~sections:3 ~r:1. ~c:1. in
         check_invalid "dt" (fun () -> operator tree ~dt:0.);
         check_invalid "lines" (fun () -> operator (fig7_tree ()) ~dt:1.);
-        check_invalid "unknown output" (fun () ->
-            step_response tree ~dt:0.5 ~t_end:1. ~outputs:[ 99 ]);
+        check_invalid "unknown output" (fun () -> step_wave tree ~dt:0.5 ~t_end:1. ~node:99);
         check_invalid "sections" (fun () -> rc_chain ~sections:0 ~r:1. ~c:1.));
     Alcotest.test_case "three solvers agree; direct is deterministic" `Quick (fun () ->
         let tree = rc_chain ~sections:200 ~r:10. ~c:1e-13 in
         let out = Rctree.Tree.output_named tree "out" in
         let tau = Rctree.Moments.elmore tree ~output:out in
         let dt = tau /. 50. and t_end = tau in
-        let run solver = List.assoc out (step_response ~solver ~tol:1e-12 tree ~dt ~t_end ~outputs:[ out ]) in
+        let run solver = step_wave ~solver tree ~dt ~t_end ~node:out in
         let wd = run `Direct and wc = run `Cg and wl = run `Dense and wd2 = run `Direct in
         List.iter
           (fun f ->
@@ -332,7 +389,7 @@ let large_tests =
         let ex = Circuit.Exact.of_tree tree in
         let tau = Circuit.Exact.dominant_time_constant ex in
         let dt = tau /. 2000. in
-        let ws = List.assoc out (step_response tree ~dt ~t_end:tau ~outputs:[ out ]) in
+        let ws = step_wave tree ~dt ~t_end:tau ~node:out in
         List.iter
           (fun f ->
             let t = f *. tau in
@@ -364,32 +421,16 @@ let large_tests =
           1. +. (4. /. Float.pi *. go 0 0.)
         in
         let dt = rc /. 4000. in
-        let ws = List.assoc out (step_response tree ~dt ~t_end:(rc /. 2.) ~outputs:[ out ]) in
+        let ws = step_wave tree ~dt ~t_end:(rc /. 2.) ~node:out in
         List.iter
           (fun f ->
             let t = f *. rc in
             check_close ~eps:5e-3 "v" (analytic t) (Circuit.Waveform.value_at ws t))
           [ 0.1; 0.2; 0.35; 0.5 ]);
     Alcotest.test_case "direct stepping does not allocate per step" `Quick (fun () ->
-        (* minor-heap growth must not scale with the step count: compare a
-           short and a 10x longer run of the same net (metrics disabled);
-           any per-step closure or boxing would add >= thousands of words *)
-        let tree = rc_chain ~sections:200 ~r:10. ~c:1e-13 in
-        let out = Rctree.Tree.output_named tree "out" in
-        let tau = Rctree.Moments.elmore tree ~output:out in
-        let delta steps =
-          let dt = tau /. float_of_int steps in
-          Gc.full_major ();
-          let w0 = Gc.minor_words () in
-          ignore (step_response tree ~dt ~t_end:tau ~outputs:[ out ]);
-          Gc.minor_words () -. w0
-        in
-        ignore (delta 100) (* warm-up *);
-        let short = delta 500 and long = delta 5000 in
-        check_bool
-          (Printf.sprintf "minor words independent of steps (%.0f vs %.0f)" short long)
-          true
-          (Float.abs (long -. short) < 1000.));
+        check_no_step_allocation Circuit.Transient.Backward_euler);
+    Alcotest.test_case "trapezoidal direct stepping does not allocate" `Quick (fun () ->
+        check_no_step_allocation Circuit.Transient.Trapezoidal);
   ]
 
 let () =

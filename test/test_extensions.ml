@@ -83,13 +83,9 @@ let excitation_tests =
     Alcotest.test_case "ramp bounds bracket the simulated ramp response" `Quick (fun () ->
         let tree = Rctree.Lump.discretize ~segments:32 fig7_tree in
         let out = Rctree.Tree.output_named tree "out" in
-        let rise = 200. in
-        let r =
-          Circuit.Transient.simulate tree ~dt:0.25 ~t_end:1200.
-            ~input:(Circuit.Transient.ramp_input ~rise_time:rise)
-        in
+        let input = ramp ~rise_time:200. in
+        let r = Circuit.Transient.simulate tree ~dt:0.25 ~t_end:1200. ~input in
         let w = Circuit.Transient.waveform r ~node:out in
-        let input = ramp ~rise_time:rise in
         List.iter
           (fun t ->
             let lo, hi = response_bounds fig7_times input t in

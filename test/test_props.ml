@@ -130,7 +130,7 @@ let simulation_props =
         let ex = Circuit.Exact.of_tree tree in
         let tau = Circuit.Exact.dominant_time_constant ex in
         let r =
-          Circuit.Transient.simulate tree ~dt:(tau /. 200.) ~t_end:tau
+          Circuit.Transient.simulate ~outputs:[ output ] tree ~dt:(tau /. 200.) ~t_end:tau
             ~input:Circuit.Transient.step_input
         in
         let w = Circuit.Transient.waveform r ~node:output in
@@ -173,10 +173,10 @@ let extension_props =
         let ex = Circuit.Exact.of_tree tree in
         let tau = Circuit.Exact.dominant_time_constant ex in
         let r =
-          Circuit.Transient.simulate tree
+          Circuit.Transient.simulate ~outputs:[ output ] tree
             ~dt:(Float.min (rise /. 50.) (tau /. 50.))
             ~t_end:(rise +. (3. *. Float.max tau 1e-3))
-            ~input:(Circuit.Transient.ramp_input ~rise_time:rise)
+            ~input
         in
         let w = Circuit.Transient.waveform r ~node:output in
         List.for_all
@@ -286,8 +286,9 @@ let misc_props =
         (* backward Euler is first order: error scales with dt/tau *)
         let dt = tau /. 500. in
         let ws =
-          List.assoc output
-            (Circuit.Large.step_response ~tol:1e-12 tree ~dt ~t_end:tau ~outputs:[ output ])
+          Circuit.Transient.waveform ~node:output
+            (Circuit.Transient.simulate ~integration:Circuit.Transient.Backward_euler
+               ~outputs:[ output ] tree ~dt ~t_end:tau ~input:Circuit.Transient.step_input)
         in
         let t_check = tau /. 2. in
         Float.abs
