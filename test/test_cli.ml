@@ -196,31 +196,6 @@ let tests =
             check_int "integration exit" 2 code_i;
             let code_t, _ = run [ "transient"; deck; "--t-end=-1" ] in
             check_int "t-end exit" 2 code_t));
-    Alcotest.test_case "transient and simulate: bad flags exit 2 naming the flag" `Quick
-      (fun () ->
-        with_fig7_deck (fun deck ->
-            List.iter
-              (fun (args, flag) ->
-                let code, out = run (args @ [ deck ]) in
-                let what = String.concat " " args in
-                check_int ("exit: " ^ what) 2 code;
-                check_bool ("names " ^ flag ^ ": " ^ what) true (contains out flag);
-                check_bool ("no nan row: " ^ what) false (contains out "nan"))
-              [
-                ([ "transient"; "--t-end"; "200"; "--samples=-3" ], "--samples");
-                ([ "transient"; "--t-end"; "200"; "--samples"; "1" ], "--samples");
-                ([ "transient"; "--t-end"; "200"; "--segments"; "0" ], "--segments");
-                ([ "transient"; "--t-end"; "0" ], "--t-end");
-                ([ "transient"; "--t-end"; "200"; "--dt"; "0" ], "--dt");
-                ([ "transient"; "--t-end"; "200"; "--dt=-1" ], "--dt");
-                ([ "simulate"; "--t-end"; "600"; "--samples=-3" ], "--samples");
-                ([ "simulate"; "--t-end"; "600"; "--samples"; "1" ], "--samples");
-                ([ "simulate"; "--t-end"; "600"; "--segments"; "0" ], "--segments");
-                ([ "simulate"; "--t-end"; "0" ], "--t-end");
-                ([ "simulate"; "--t-end=-5" ], "--t-end");
-                ([ "moments"; "--segments"; "0" ], "--segments");
-                ([ "ac"; "--segments"; "0" ], "--segments");
-              ]));
     Alcotest.test_case "selfcheck: clean run exits 0" `Quick (fun () ->
         let code, out = run [ "selfcheck"; "--cases"; "15"; "--seed"; "42" ] in
         check_int "exit" 0 code;
@@ -304,6 +279,31 @@ let tests =
         in
         check_int "exit" 0 code;
         check_bool "all layers" true (contains out "self-test: all instrumented layers reported"));
+    Alcotest.test_case "transient and simulate: bad flags exit 2 naming the flag" `Quick
+      (fun () ->
+        with_fig7_deck (fun deck ->
+            List.iter
+              (fun (args, flag) ->
+                let code, out = run (args @ [ deck ]) in
+                let what = String.concat " " args in
+                check_int ("exit: " ^ what) 2 code;
+                check_bool ("names " ^ flag ^ ": " ^ what) true (contains out flag);
+                check_bool ("no nan row: " ^ what) false (contains out "nan"))
+              [
+                ([ "transient"; "--t-end"; "200"; "--samples=-3" ], "--samples");
+                ([ "transient"; "--t-end"; "200"; "--samples"; "1" ], "--samples");
+                ([ "transient"; "--t-end"; "200"; "--segments"; "0" ], "--segments");
+                ([ "transient"; "--t-end"; "0" ], "--t-end");
+                ([ "transient"; "--t-end"; "200"; "--dt"; "0" ], "--dt");
+                ([ "transient"; "--t-end"; "200"; "--dt=-1" ], "--dt");
+                ([ "simulate"; "--t-end"; "600"; "--samples=-3" ], "--samples");
+                ([ "simulate"; "--t-end"; "600"; "--samples"; "1" ], "--samples");
+                ([ "simulate"; "--t-end"; "600"; "--segments"; "0" ], "--segments");
+                ([ "simulate"; "--t-end"; "0" ], "--t-end");
+                ([ "simulate"; "--t-end=-5" ], "--t-end");
+                ([ "moments"; "--segments"; "0" ], "--segments");
+                ([ "ac"; "--segments"; "0" ], "--segments");
+              ]));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]
