@@ -398,7 +398,7 @@ let scalability_table () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* PR2: the parallel batch engine, 1 vs N domains                     *)
+(* PR2: serial analyses, and the domain pool's one user at 1 vs N     *)
 (* ------------------------------------------------------------------ *)
 
 (* a >=10k-node tree with ~1k marked outputs: [branches] independent
@@ -449,8 +449,9 @@ let parallel_rows () =
     let t = Tech.Pla.line_tree process params ~minterms:20 in
     (t, snd (List.hd (Rctree.Tree.outputs t)))
   in
+  (* the analyses are a few O(n) sweeps and run serially; only the fuzz
+     harness goes through the pool *)
   [
-    (* one O(n) pass plus array reads: serial, no pool *)
     ( "rctree.all_times",
       Printf.sprintf "%d nodes, %d outputs, make + batch" (Rctree.Tree.node_count tree)
         (List.length (Rctree.Tree.outputs tree)),
@@ -459,12 +460,16 @@ let parallel_rows () =
       Printf.sprintf "%d-bit adder, %d instances"
         (if quick then 16 else 64)
         (List.length (Sta.Design.instances adder)),
-      time_at_domains ~reps:3 (fun pool -> Sta.Analysis.run_exn ~pool adder) );
+      [ (1, wall ~reps:3 (fun () -> Sta.Analysis.run_exn adder)) ] );
     (let samples = if quick then 40 else 200 in
      ( "tech.monte_carlo",
        Printf.sprintf "%d samples of pla-20" samples,
-       time_at_domains ~reps:1 (fun pool ->
-           Tech.Variation.monte_carlo ~samples ~pool p ~build ~threshold:0.7) ));
+       [ (1, wall ~reps:1 (fun () -> Tech.Variation.monte_carlo ~samples p ~build ~threshold:0.7)) ]
+     ));
+    (let cases = if quick then 16 else 200 in
+     ( "check.runner",
+       Printf.sprintf "%d selfcheck cases, seed 42" cases,
+       time_at_domains ~reps:1 (fun pool -> Check.Runner.run ~pool ~cases ~seed:42 ()) ));
   ]
 
 let speedup_at domains times =
@@ -473,7 +478,7 @@ let speedup_at domains times =
   | _ -> nan
 
 let print_parallel rows =
-  print_endline "== PR2: batch engine throughput, 1 vs N domains ==";
+  print_endline "== PR2: batch throughput; the pool (check.runner) at 1 vs N domains ==";
   Printf.printf "host: %d recommended domain(s)\n" (Domain.recommended_domain_count ());
   let t =
     Reprolib.Table.create

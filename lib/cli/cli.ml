@@ -17,10 +17,11 @@
      stats     metrics self-test on built-in workloads
 
    Every subcommand also accepts --metrics[=FILE] (report to stderr,
-   or JSON lines to FILE), --trace (span trace to stderr) and --jobs N
-   (worker domains for the parallel batch analyses; the RCDELAY_JOBS
-   environment variable sets the same default).  The RCDELAY_METRICS
-   environment variable enables metrics collection without flags.
+   or JSON lines to FILE) and --trace (span trace to stderr); the
+   RCDELAY_METRICS environment variable enables metrics collection
+   without flags.  Every analysis runs serially; only selfcheck fans
+   its cases out over a domain pool, sized by its --jobs N (default:
+   the RCDELAY_JOBS environment variable).
 
    Exit codes: 0 success, 1 run-time failure (including a failed
    certification), 2 unreadable input — a deck or netlist that does
@@ -44,6 +45,22 @@ let with_tree path f =
 
 let fmt_s t = Rctree.Units.format_quantity ~unit_symbol:"s" t
 
+(* Flag checks run before the deck is read: the first one that fails
+   is exit 2 with a message naming the flag, like unreadable input. *)
+let flag_error cmd msg =
+  prerr_endline (cmd ^ ": " ^ msg);
+  2
+
+let check_flags cmd errors k =
+  match List.find_map Fun.id errors with Some msg -> flag_error cmd msg | None -> k ()
+
+let require ok msg = if ok then None else Some msg
+let positive_time flag t = require (Float.is_finite t && t > 0.) (flag ^ " must be a positive time")
+let non_negative_time flag t = require (t >= 0.) (flag ^ " must be a non-negative time")
+let threshold_flag flag v = require (v >= 0. && v < 1.) (flag ^ " must satisfy 0 <= V < 1")
+let samples_flag samples = require (samples >= 2) "--samples must be at least 2"
+let segments_flag segments = require (segments >= 1) "--segments must be at least 1"
+
 (* every all-outputs subcommand builds one Analysis handle — one O(n)
    pass over the tree — and then reads each output's row from it *)
 
@@ -66,6 +83,7 @@ let times_cmd path =
       0)
 
 let bounds_cmd path thresholds =
+  check_flags "bounds" (List.map (threshold_flag "--thresholds") thresholds) @@ fun () ->
   with_tree path (fun tree ->
       let h = Rctree.Analysis.make tree in
       let per_threshold =
@@ -84,6 +102,7 @@ let bounds_cmd path thresholds =
       0)
 
 let voltage_cmd path times =
+  check_flags "voltage" (List.map (non_negative_time "--times") times) @@ fun () ->
   with_tree path (fun tree ->
       let h = Rctree.Analysis.make tree in
       let per_time =
@@ -103,6 +122,9 @@ let voltage_cmd path times =
       0)
 
 let certify_cmd path threshold deadline =
+  check_flags "certify"
+    [ threshold_flag "--threshold" threshold; non_negative_time "--deadline" deadline ]
+  @@ fun () ->
   with_tree path (fun tree ->
       let h = Rctree.Analysis.make tree in
       let verdicts = Rctree.Analysis.all_certify h ~threshold ~deadline in
@@ -114,19 +136,6 @@ let certify_cmd path threshold deadline =
         verdicts;
       if !all_pass then 0 else 1)
 
-(* Flag checks run before the deck is read: the first one that fails
-   is exit 2 with a message naming the flag, like unreadable input. *)
-let flag_error cmd msg =
-  prerr_endline (cmd ^ ": " ^ msg);
-  2
-
-let check_flags cmd errors k =
-  match List.find_map Fun.id errors with Some msg -> flag_error cmd msg | None -> k ()
-
-let require ok msg = if ok then None else Some msg
-let positive_time flag t = require (Float.is_finite t && t > 0.) (flag ^ " must be a positive time")
-let samples_flag samples = require (samples >= 2) "--samples must be at least 2"
-let segments_flag segments = require (segments >= 1) "--segments must be at least 1"
 
 let lump ~segments tree =
   if Rctree.Tree.has_distributed_lines tree then Rctree.Lump.discretize ~segments tree else tree
@@ -203,6 +212,12 @@ let transient_cmd path dt t_end solver integration samples segments =
           0)
 
 let pla_cmd minterms threshold =
+  check_flags "pla"
+    [
+      require (List.for_all (fun n -> n >= 0) minterms) "--minterms must be non-negative";
+      threshold_flag "--threshold" threshold;
+    ]
+  @@ fun () ->
   let process = Tech.Process.default_4um in
   let params = Tech.Pla.default_params process in
   let table = Reprolib.Table.create ~columns:[ "minterms"; "t_min"; "t_max" ] in
@@ -214,30 +229,24 @@ let pla_cmd minterms threshold =
   0
 
 let ramp_cmd path rise threshold =
+  check_flags "ramp" [ positive_time "--rise" rise; threshold_flag "--threshold" threshold ]
+  @@ fun () ->
   with_tree path (fun tree ->
-      if rise <= 0. then begin
-        prerr_endline "ramp: --rise must be positive";
-        1
-      end
-      else begin
-        let input = Rctree.Excitation.ramp ~rise_time:rise in
-        let table =
-          Reprolib.Table.create ~columns:[ "output"; "step window"; "ramp window" ]
-        in
-        List.iter
-          (fun (label, _, ts) ->
-            let slo, shi = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
-            let rlo, rhi = Rctree.Excitation.crossing_bounds ts input ~threshold in
-            Reprolib.Table.add_row table
-              [
-                label;
-                Printf.sprintf "[%s, %s]" (fmt_s slo) (fmt_s shi);
-                Printf.sprintf "[%s, %s]" (fmt_s rlo) (fmt_s rhi);
-              ])
-          (Rctree.Moments.all_output_times tree);
-        Reprolib.Table.print table;
-        0
-      end)
+      let input = Rctree.Excitation.ramp ~rise_time:rise in
+      let table = Reprolib.Table.create ~columns:[ "output"; "step window"; "ramp window" ] in
+      List.iter
+        (fun (label, _, ts) ->
+          let slo, shi = (Rctree.Bounds.t_min ts threshold, Rctree.Bounds.t_max ts threshold) in
+          let rlo, rhi = Rctree.Excitation.crossing_bounds ts input ~threshold in
+          Reprolib.Table.add_row table
+            [
+              label;
+              Printf.sprintf "[%s, %s]" (fmt_s slo) (fmt_s shi);
+              Printf.sprintf "[%s, %s]" (fmt_s rlo) (fmt_s rhi);
+            ])
+        (Rctree.Moments.all_output_times tree);
+      Reprolib.Table.print table;
+      0)
 
 let moments_cmd path order segments =
   check_flags "moments" [ segments_flag segments ] @@ fun () ->
@@ -259,7 +268,8 @@ let moments_cmd path order segments =
       0)
 
 let ac_cmd path points segments =
-  check_flags "ac" [ segments_flag segments ] @@ fun () ->
+  check_flags "ac" [ require (points >= 2) "--points must be at least 2"; segments_flag segments ]
+  @@ fun () ->
   with_tree path (fun tree ->
       let lumped = lump ~segments tree in
       let ac = Circuit.Ac.of_tree lumped in
@@ -424,6 +434,7 @@ let json_times spec (ts : Rctree.Times.t) threshold =
        ])
 
 let sweep_cmd path specs edits_file output_name threshold json =
+  check_flags "sweep" [ threshold_flag "--threshold" threshold ] @@ fun () ->
   with_tree path (fun tree ->
       let bad msg =
         prerr_endline ("sweep: " ^ msg);
@@ -572,16 +583,21 @@ let stats_cmd () =
            chain ~dt:1e-10 ~t_end:2e-9 ~input:Circuit.Transient.step_input);
       let adder = Sta.Generate.ripple_carry_adder ~bits:4 () in
       ignore (Sta.Report.timing_report (Sta.Analysis.run_exn adder));
-      (* the parallel engine: the adder's per-net delays through a
-         2-domain pool, checked bit-for-bit against a serial run; plus
-         one handle batch over every node of the chain *)
-      Parallel.Pool.with_pool ~domains:1 (fun serial ->
-          Parallel.Pool.with_pool ~domains:2 (fun pool ->
-              let par = Sta.Analysis.run_exn ~pool adder in
-              let ser = Sta.Analysis.run_exn ~pool:serial adder in
-              pool_ok :=
-                Sta.Analysis.endpoints par = Sta.Analysis.endpoints ser
-                && Sta.Analysis.required_period par = Sta.Analysis.required_period ser));
+      (* the pool's one user: a short fuzz run through a 2-domain pool,
+         checked against the same run on one domain; plus one handle
+         batch over every node of the chain *)
+      let summary (r : Check.Runner.report) =
+        ( r.cases,
+          List.map
+            (fun (f : Check.Runner.failure) -> (f.property, f.case_index, f.message))
+            r.failures,
+          List.map (fun (st : Check.Runner.stat) -> (st.property, st.cases, st.failures)) r.stats )
+      in
+      let fuzz domains =
+        Parallel.Pool.with_pool ~domains (fun pool ->
+            summary (Check.Runner.run ~pool ~cases:16 ~seed:42 ()))
+      in
+      pool_ok := fuzz 2 = fuzz 1;
       ignore
         (Rctree.Analysis.times_of_nodes (Rctree.Analysis.make chain)
            (Array.init (Rctree.Tree.node_count chain) Fun.id));
@@ -624,22 +640,22 @@ let stats_cmd () =
   let no_span = Obs.Span.calls "circuit.transient" = 0 || Obs.Span.calls "sta.report" = 0 in
   if missing = [] && (not no_span) && !pool_ok && !incr_ok then begin
     print_endline "self-test: all instrumented layers reported";
-    print_endline "self-test: pool results bit-identical to serial";
+    print_endline "self-test: pooled selfcheck identical to serial";
     print_endline "self-test: incremental edits bit-identical to from-scratch";
     0
   end
   else begin
     List.iter (fun n -> prerr_endline ("self-test: no samples from " ^ n)) missing;
     if no_span then prerr_endline "self-test: expected spans missing";
-    if not !pool_ok then prerr_endline "self-test: pool results differ from serial";
+    if not !pool_ok then prerr_endline "self-test: pooled selfcheck differs from serial";
     if not !incr_ok then prerr_endline "self-test: incremental results differ from from-scratch";
     1
   end
 
 open Cmdliner
 
-(* --metrics / --trace / --jobs, shared by every subcommand *)
-type obs_cfg = { metrics : string option; trace : bool; jobs : int option }
+(* --metrics / --trace, shared by every subcommand *)
+type obs_cfg = { metrics : string option; trace : bool }
 
 let obs_term =
   let metrics =
@@ -657,43 +673,27 @@ let obs_term =
       & info [ "trace" ]
           ~doc:"Also record individual span timings and print the trace to stderr.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domains for the parallel batch analyses (default: $(b,RCDELAY_JOBS), else the \
-             machine's recommended domain count).  Results are identical at any setting; \
-             $(docv) = 1 disables parallelism.")
-  in
-  Term.(const (fun metrics trace jobs -> { metrics; trace; jobs }) $ metrics $ trace $ jobs)
+  Term.(const (fun metrics trace -> { metrics; trace }) $ metrics $ trace)
 
 let run_obs cfg name f =
-  match cfg.jobs with
-  | Some n when n < 1 ->
-      prerr_endline "rcdelay: --jobs must be >= 1";
-      2
-  | jobs ->
-      Option.iter Parallel.Pool.set_default_domains jobs;
-      if cfg.metrics <> None || cfg.trace then Obs.set_enabled true;
-      if cfg.trace then Obs.Span.set_trace true;
-      let code = Obs.Span.with_ ~name:("cli." ^ name) f in
-      let code =
-        match cfg.metrics with
-        | None | Some "" | Some "-" ->
-            if cfg.metrics <> None then prerr_string (Obs.report ());
-            code
-        | Some file -> (
-            try
-              Obs.write_json_lines file;
-              code
-            with Sys_error msg ->
-              Printf.eprintf "rcdelay: cannot write metrics: %s\n" msg;
-              max code 1)
-      in
-      if cfg.trace then prerr_string (Obs.trace_report ());
-      code
+  if cfg.metrics <> None || cfg.trace then Obs.set_enabled true;
+  if cfg.trace then Obs.Span.set_trace true;
+  let code = Obs.Span.with_ ~name:("cli." ^ name) f in
+  let code =
+    match cfg.metrics with
+    | None | Some "" | Some "-" ->
+        if cfg.metrics <> None then prerr_string (Obs.report ());
+        code
+    | Some file -> (
+        try
+          Obs.write_json_lines file;
+          code
+        with Sys_error msg ->
+          Printf.eprintf "rcdelay: cannot write metrics: %s\n" msg;
+          max code 1)
+  in
+  if cfg.trace then prerr_string (Obs.trace_report ());
+  code
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"DECK" ~doc:"SPICE-like deck file.")
@@ -932,7 +932,7 @@ let cmd_stats =
 
 (* selfcheck: the differential fuzzing harness of lib/check *)
 
-let selfcheck_cmd budget cases seed props inject corpus_dir =
+let selfcheck_cmd budget cases seed props inject corpus_dir jobs =
   let invalid msg =
     prerr_endline ("rcdelay: selfcheck: " ^ msg);
     2
@@ -966,7 +966,9 @@ let selfcheck_cmd budget cases seed props inject corpus_dir =
       invalid "--budget must be positive"
   | Ok _, _ when match cases with Some n -> n < 1 | None -> false ->
       invalid "--cases must be >= 1"
+  | Ok _, _ when match jobs with Some n -> n < 1 | None -> false -> invalid "--jobs must be >= 1"
   | Ok rev_props, Ok fault ->
+      Option.iter Parallel.Pool.set_default_domains jobs;
       let properties = match rev_props with [] -> Check.Prop.all | ps -> List.rev ps in
       let budget = if budget = None && cases = None then Some 10. else budget in
       (match fault with
@@ -1054,6 +1056,16 @@ let corpus_arg =
     & info [ "corpus" ] ~docv:"DIR"
         ~doc:"Persist every shrunk counterexample as a replayable deck under $(docv).")
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Domains to check cases on (default: $(b,RCDELAY_JOBS), else the machine's \
+           recommended domain count).  Results are identical at any setting; $(docv) = 1 \
+           disables parallelism.")
+
 let cmd_selfcheck =
   Cmd.v
     (Cmd.info "selfcheck"
@@ -1061,9 +1073,10 @@ let cmd_selfcheck =
          "Differential fuzzing: random RC trees checked against independent exact-simulation \
           oracles, with shrinking and a counterexample corpus")
     Term.(
-      const (fun obs b c s p i d ->
-          run_obs obs "selfcheck" (fun () -> selfcheck_cmd b c s p i d))
-      $ obs_term $ budget_arg $ cases_arg $ seed_arg $ props_arg $ inject_arg $ corpus_arg)
+      const (fun obs b c s p i d j ->
+          run_obs obs "selfcheck" (fun () -> selfcheck_cmd b c s p i d j))
+      $ obs_term $ budget_arg $ cases_arg $ seed_arg $ props_arg $ inject_arg $ corpus_arg
+      $ jobs_arg)
 
 let main =
   Cmd.group

@@ -5,9 +5,9 @@
    worker domains.  Chunks are handed out through an atomic cursor, so
    a domain that finishes early simply grabs the next chunk — cheap
    dynamic load balancing with no per-item locking.  Results are
-   index-addressed by the caller's [run] function, which is what makes
-   every combinator deterministic: execution order varies, the
-   index→slot mapping never does. *)
+   index-addressed by [map]'s body, which is what makes it
+   deterministic: execution order varies, the index→slot mapping never
+   does. *)
 
 let m_jobs = Obs.Counter.make "pool.jobs"
 let m_chunks = Obs.Counter.make "pool.chunks"
@@ -221,12 +221,6 @@ let run ?pool ?chunk ~n body =
     end
   end
 
-let parallel_for ?pool ?chunk ~n f =
-  run ?pool ?chunk ~n (fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
-
 let map ?pool ?chunk f xs =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -240,10 +234,3 @@ let map ?pool ?chunk f xs =
         done);
     out
   end
-
-let map_list ?pool ?chunk f xs = Array.to_list (map ?pool ?chunk f (Array.of_list xs))
-
-let map_reduce ?pool ?chunk ~map:fm ~combine ~init xs =
-  (* materialize, then fold in index order: the combine sequence is
-     fixed whatever the execution interleaving *)
-  Array.fold_left combine init (map ?pool ?chunk fm xs)

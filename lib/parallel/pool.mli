@@ -1,13 +1,14 @@
 (** A work-chunking pool of OCaml 5 domains for embarrassingly
-    parallel batch workloads.
+    parallel batch workloads.  Its one user is the fuzz harness
+    ([Check.Runner]), whose per-case oracles cost milliseconds each;
+    every production analysis is a few O(n) sweeps and runs serially.
 
     Design points:
 
-    - {e Determinism}: every combinator assigns work by index and
-      writes results into index-addressed slots, so the output of
-      {!map}, {!map_list} and {!map_reduce} is bit-identical whatever
-      the domain count or execution interleaving — a pool of [n]
-      domains is an optimization, never a semantic change.
+    - {e Determinism}: {!map} assigns work by index and writes results
+      into index-addressed slots, so its output is bit-identical
+      whatever the domain count or execution interleaving — a pool of
+      [n] domains is an optimization, never a semantic change.
     - {e Work chunking}: an index range is split into chunks (several
       per domain) handed out through an atomic cursor, so uneven item
       costs balance across domains without per-item synchronisation.
@@ -16,14 +17,14 @@
       submitting domain once the batch has drained.  When several
       chunks fail, the one covering the lowest index wins, again for
       determinism.
-    - {e Re-entrancy}: calling a pool combinator from inside a pool
-      task (or with a 1-domain pool) degrades to the serial path
-      rather than deadlocking.
+    - {e Re-entrancy}: calling {!map} from inside a pool task (or
+      with a 1-domain pool) degrades to the serial path rather than
+      deadlocking.
 
     The shared pool {!get} is sized by [RCDELAY_JOBS] (or the
     hardware's recommended domain count when unset) and can be resized
-    with {!set_default_domains} — the CLI's [--jobs] flag does exactly
-    that.  Metrics: the pool reports [pool.jobs], [pool.chunks],
+    with {!set_default_domains} — [rcdelay selfcheck --jobs] does
+    exactly that.  Metrics: the pool reports [pool.jobs], [pool.chunks],
     [pool.tasks], [pool.worker_chunks] counters and a
     [pool.domain_busy_ms] histogram through {!Obs}. *)
 
@@ -52,7 +53,7 @@ val default_domains : unit -> int
     integer, otherwise [Domain.recommended_domain_count ()]. *)
 
 val set_default_domains : int -> unit
-(** Override {!default_domains} (the CLI's [--jobs]).  If the shared
+(** Override {!default_domains} ([rcdelay selfcheck --jobs]).  If the shared
     pool already exists at a different size it is shut down and
     re-created lazily.  Raises [Invalid_argument] when [< 1]. *)
 
@@ -60,22 +61,9 @@ val get : unit -> t
 (** The process-wide shared pool, created on first use at
     {!default_domains} and shut down automatically at exit. *)
 
-val parallel_for : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** Run [f 0 .. f (n-1)], partitioned into chunks of [chunk] indices
-    (default: a few chunks per domain).  [f] must be safe to call
-    concurrently from several domains.  [pool] defaults to {!get}. *)
-
 val map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Like [Array.map], parallel over the pool; element order (and, for
-    a deterministic [f], every bit of the result) matches the serial
-    map. *)
-
-val map_list : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map] through an intermediate array, preserving order. *)
-
-val map_reduce :
-  ?pool:t -> ?chunk:int -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** Ordered reduction: equivalent to mapping and then folding
-    [combine] left-to-right from [init] — the combine order is fixed
-    by index, never by completion order, so non-associative (e.g.
-    floating-point) reductions stay deterministic. *)
+(** Like [Array.map], parallel over the pool in chunks of [chunk]
+    indices (default: a few chunks per domain); element order (and,
+    for a deterministic [f], every bit of the result) matches the
+    serial map.  [f] must be safe to call concurrently from several
+    domains.  [pool] defaults to {!get}. *)

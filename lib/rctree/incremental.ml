@@ -338,16 +338,12 @@ let edit_expr e edit =
 (* batch sweeps                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let sweep ?pool h queries =
+let sweep h queries =
   if Obs.enabled () then Obs.Counter.incr m_sweeps;
   Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  Parallel.Pool.map ?pool (fun edits -> times (apply_all h edits)) queries
+  Array.map (fun edits -> times (apply_all h edits)) queries
 
-let sweep_list ?pool h queries =
+let sweep_list h queries =
   if Obs.enabled () then Obs.Counter.incr m_sweeps;
   Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  Parallel.Pool.map_list ?pool (fun edits -> times (apply_all h edits)) queries
-
-let sweep_gen ?pool h ~n f =
-  if n < 0 then invalid_arg "Incremental.sweep_gen: negative query count";
-  sweep ?pool h (Array.init n f)
+  List.map (fun edits -> times (apply_all h edits)) queries

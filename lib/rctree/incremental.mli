@@ -18,10 +18,8 @@
       full evaluation would run, in the same association, and reuse
       memoized tuples that were themselves computed that way.
     - {e Persistence}: {!apply} never mutates; the new handle shares
-      every untouched subtree with the old one.  Handles are therefore
-      safe to query and edit from many domains concurrently — {!sweep}
-      fans out over {!Parallel.Pool} with all domains reading one
-      shared base handle.
+      every untouched subtree with the old one, so every query of a
+      {!sweep} edits the same base handle.
     - {e Invalidation}: an edit at depth [d] re-evaluates at most the
       [d] spine nodes above it (plus the nodes it introduces or
       rescales).  [incr.nodes_reeval] / [incr.cache_hits] account for
@@ -128,19 +126,10 @@ val path_of_string : string -> (path, string) result
 (** Inverse of {!path_to_string} (case-insensitive; [""] and ["root"]
     both mean the root). *)
 
-val sweep : ?pool:Parallel.Pool.t -> t -> edit list array -> Times.t array
+val sweep : t -> edit list array -> Times.t array
 (** One what-if query per array element: apply the edit sequence to
     the shared base handle (queries are independent, {e not}
-    cumulative) and return the resulting times.  Fans out over [pool]
-    (default: the shared {!Parallel.Pool.get}); the base handle is
-    immutable, so domains share its memo structure directly, and
-    results are bit-identical to the serial loop at any domain
-    count. *)
+    cumulative) and return the resulting times, in query order. *)
 
-val sweep_list : ?pool:Parallel.Pool.t -> t -> edit list list -> Times.t list
+val sweep_list : t -> edit list list -> Times.t list
 (** {!sweep} over lists. *)
-
-val sweep_gen : ?pool:Parallel.Pool.t -> t -> n:int -> (int -> edit list) -> Times.t array
-(** Generator form: query [i] is [f i].  [f] runs in the submitting
-    domain (queries are generated up front), so it need not be
-    thread-safe.  Raises [Invalid_argument] on negative [n]. *)

@@ -27,8 +27,8 @@ module Awe = Awe
 module Incremental = Incremental
 (** Memoized what-if engine: persistent zipper-addressed edits over
     {!Expr.t} re-evaluating only the spine from the edit to the root,
-    plus pool-parallel batch {!Incremental.sweep}s — bit-identical to
-    from-scratch evaluation at every step. *)
+    plus batch {!Incremental.sweep}s — bit-identical to from-scratch
+    evaluation at every step. *)
 
 module Convert = Convert
 module Lump = Lump
@@ -38,10 +38,10 @@ module Units = Units
 module Analysis = Analysis
 (** Build-once / query-many handle: {!Analysis.make} precomputes the
     path-resistance table in one traversal, then answers any number of
-    per-output queries (and pool-parallel [all_*] batches) without
-    re-traversing the tree.  The one-shot functions below are thin
-    wrappers over a throwaway handle; prefer the handle whenever one
-    network takes several questions. *)
+    per-output queries (and [all_*] batches) without re-traversing
+    the tree.  The one-shot functions below are thin wrappers over a
+    throwaway handle; prefer the handle whenever one network takes
+    several questions. *)
 
 val analyze : Tree.t -> output:Tree.node_id -> Times.t
 (** Characteristic times [T_P], [T_De], [T_Re] of an output node. *)

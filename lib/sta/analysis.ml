@@ -65,7 +65,7 @@ let precompute_net mode thresh d (net : Design.net) =
 let net_window r (net : Design.net) pin =
   List.assoc pin (Hashtbl.find r.net_delays net.Design.net_name).pins
 
-let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d =
+let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) d =
   List.iter
     (fun (name, at) ->
       (match Design.net d name with
@@ -83,18 +83,14 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d 
   with
   | Error cycle -> Error cycle
   | Ok order ->
-      (* the expensive part — one RC-tree analysis per net — is
-         independent across nets; fan it out before the (cheap,
-         order-dependent) propagation below *)
+      (* one RC-tree analysis per net, before the order-dependent
+         propagation below *)
       let net_delays = Hashtbl.create 16 in
       Obs.Span.with_ ~name:"sta.netdelay" (fun () ->
-          let nets = Array.of_list (Design.nets d) in
-          let computed =
-            Parallel.Pool.map ?pool (fun net -> precompute_net mode threshold d net) nets
-          in
-          Array.iteri
-            (fun i nd -> Hashtbl.replace net_delays nets.(i).Design.net_name nd)
-            computed);
+          List.iter
+            (fun (net : Design.net) ->
+              Hashtbl.replace net_delays net.Design.net_name (precompute_net mode threshold d net))
+            (Design.nets d));
       let r =
         {
           design = d;
@@ -208,8 +204,8 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) ?pool d 
         (Design.primary_outputs d));
       Ok r
 
-let run_exn ?mode ?threshold ?input_arrivals ?pool d =
-  match run ?mode ?threshold ?input_arrivals ?pool d with
+let run_exn ?mode ?threshold ?input_arrivals d =
+  match run ?mode ?threshold ?input_arrivals d with
   | Ok r -> r
   | Error cycle ->
       invalid_arg ("Analysis.run_exn: combinational cycle through " ^ String.concat ", " cycle)

@@ -19,7 +19,6 @@ val run :
   ?mode:mode ->
   ?threshold:float ->
   ?input_arrivals:(string * float) list ->
-  ?pool:Parallel.Pool.t ->
   Design.t ->
   (t, string list) result
 (** Default mode is [Bounds_mode], threshold 0.5.  [input_arrivals]
@@ -28,16 +27,13 @@ val run :
     [Invalid_argument].  [Error cycle] when the design has a
     combinational loop.
 
-    The per-net interconnect analyses — the expensive part of a run —
-    are independent and are fanned out through [pool] (default: the
-    shared {!Parallel.Pool.get}); results are identical to a serial
-    run. *)
+    Each net's interconnect analysis runs once, serially, before
+    propagation. *)
 
 val run_exn :
   ?mode:mode ->
   ?threshold:float ->
   ?input_arrivals:(string * float) list ->
-  ?pool:Parallel.Pool.t ->
   Design.t ->
   t
 

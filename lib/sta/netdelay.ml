@@ -85,9 +85,9 @@ let sink_delays ?(threshold = 0.5) d (net : Design.net) =
       })
     net.Design.loads
 
-let all_sink_delays ?pool ?threshold d =
+let all_sink_delays ?threshold d =
   Obs.Span.with_ ~name:"sta.netdelay_batch" @@ fun () ->
-  Parallel.Pool.map_list ?pool
+  List.map
     (fun (net : Design.net) -> (net.Design.net_name, sink_delays ?threshold d net))
     (Design.nets d)
 

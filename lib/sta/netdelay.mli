@@ -22,12 +22,9 @@ type sink_delay = {
 val sink_delays : ?threshold:float -> Design.t -> Design.net -> sink_delay list
 (** Threshold defaults to 0.5.  Order follows the net's load list. *)
 
-val all_sink_delays :
-  ?pool:Parallel.Pool.t -> ?threshold:float -> Design.t -> (string * sink_delay list) list
-(** {!sink_delays} of every net of the design, one independent RC-tree
-    analysis per net run through the pool (default: the shared
-    {!Parallel.Pool.get}).  Order follows [Design.nets]; results are
-    identical to the serial per-net calls. *)
+val all_sink_delays : ?threshold:float -> Design.t -> (string * sink_delay list) list
+(** {!sink_delays} of every net of the design, one RC-tree analysis
+    per net.  Order follows [Design.nets]. *)
 
 val load_capacitance : Design.t -> Design.net -> float
 (** Total capacitance the net's driver must charge: wire plus every

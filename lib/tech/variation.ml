@@ -55,10 +55,9 @@ let spread_of_samples xs =
 (* Box-Muller *)
 let gaussian st = sqrt (-2. *. log (Random.State.float st 1. +. 1e-300)) *. cos (2. *. Float.pi *. Random.State.float st 1.)
 
-(* All random draws happen serially up front, in a fixed order
-   (resistance factor before oxide factor, per sample), so the sample
-   set is a function of [seed] alone — any pool only fans out the
-   (pure, expensive) per-sample analyses. *)
+(* All random draws happen up front, in a fixed order (resistance
+   factor before oxide factor, per sample), so the sample set is a
+   function of [seed] alone and the per-sample analyses are pure. *)
 let sample_factors ~samples ~seed ~sigma_resistance ~sigma_oxide =
   if samples <= 0 then invalid_arg "Variation.sample_factors: samples must be positive";
   check_fraction "sample_factors" sigma_resistance 0. 0.5;
@@ -74,14 +73,14 @@ let sample_factors ~samples ~seed ~sigma_resistance ~sigma_oxide =
   factors
 
 let monte_carlo ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08) ?(sigma_oxide = 0.04)
-    ?pool p ~build ~threshold =
+    p ~build ~threshold =
   if samples <= 0 then invalid_arg "Variation.monte_carlo: samples must be positive";
   check_fraction "monte_carlo" sigma_resistance 0. 0.5;
   check_fraction "monte_carlo" sigma_oxide 0. 0.5;
   Obs.Span.with_ ~name:"tech.monte_carlo" @@ fun () ->
   let factors = sample_factors ~samples ~seed ~sigma_resistance ~sigma_oxide in
   let windows =
-    Parallel.Pool.map ?pool
+    Array.map
       (fun (resistance_factor, oxide_factor) ->
         let perturbed = perturb p ~resistance_factor ~oxide_factor in
         let tree, output = build perturbed in
@@ -97,7 +96,7 @@ let monte_carlo ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08) ?(sigma
    against a shared handle.  Oxides scale thickness, capacitance goes
    as 1/thickness, hence capacitance_factor = 1 / oxide_factor. *)
 let monte_carlo_expr ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08)
-    ?(sigma_oxide = 0.04) ?pool base ~threshold =
+    ?(sigma_oxide = 0.04) base ~threshold =
   if samples <= 0 then invalid_arg "Variation.monte_carlo_expr: samples must be positive";
   check_fraction "monte_carlo_expr" sigma_resistance 0. 0.5;
   check_fraction "monte_carlo_expr" sigma_oxide 0. 0.5;
@@ -105,7 +104,7 @@ let monte_carlo_expr ?(samples = 200) ?(seed = 42) ?(sigma_resistance = 0.08)
   let factors = sample_factors ~samples ~seed ~sigma_resistance ~sigma_oxide in
   let h = Rctree.Incremental.of_expr base in
   let windows =
-    Parallel.Pool.map ?pool
+    Array.map
       (fun (resistance_factor, oxide_factor) ->
         let ts =
           Rctree.Incremental.times_scaled h ~resistance_factor

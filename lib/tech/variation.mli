@@ -32,7 +32,6 @@ val monte_carlo :
   ?seed:int ->
   ?sigma_resistance:float ->
   ?sigma_oxide:float ->
-  ?pool:Parallel.Pool.t ->
   Process.t ->
   build:(Process.t -> Rctree.Tree.t * Rctree.Tree.node_id) ->
   threshold:float ->
@@ -45,10 +44,8 @@ val monte_carlo :
     perturbed process.  Raises [Invalid_argument] on non-positive
     samples or sigmas outside [0, 0.5].
 
-    All random draws happen serially before any analysis, so results
-    are a function of [seed] alone: runs through any [pool] (default:
-    the shared {!Parallel.Pool.get}) are bit-identical to serial
-    runs. *)
+    All random draws happen before any analysis, so results are a
+    function of [seed] alone. *)
 
 val sample_factors :
   samples:int ->
@@ -66,7 +63,6 @@ val monte_carlo_expr :
   ?seed:int ->
   ?sigma_resistance:float ->
   ?sigma_oxide:float ->
-  ?pool:Parallel.Pool.t ->
   Rctree.Expr.t ->
   threshold:float ->
   spread * spread

@@ -69,6 +69,22 @@ let runner_tests =
         let b = run () in
         check_bool "two runs agree" true (a = b);
         check_bool "the fault was caught" true (snd a <> []));
+    Alcotest.test_case "counterexamples do not depend on the domain count" `Quick (fun () ->
+        let run domains =
+          Parallel.Pool.with_pool ~domains (fun pool ->
+              let r =
+                Check.Runner.run ~pool ~fault:Check.Fault.Elmore_tmax ~cases:40 ~max_failures:3
+                  ~seed:5 ()
+              in
+              ( r.Check.Runner.cases,
+                List.map
+                  (fun (f : Check.Runner.failure) ->
+                    (f.Check.Runner.property, Check.Case.to_deck_string f.Check.Runner.shrunk))
+                  r.Check.Runner.failures ))
+        in
+        let one = run 1 in
+        check_bool "1 and 3 domains agree" true (one = run 3);
+        check_bool "the fault was caught" true (snd one <> []));
   ]
 
 let fault_tests =

@@ -153,17 +153,28 @@ let tests =
         check_bool "line" true (contains out "line 3");
         check_bool "column" true (contains out "column"));
     Alcotest.test_case "jobs flag accepted, output unchanged" `Quick (fun () ->
-        with_fig7_deck (fun deck ->
-            let code1, out1 = run [ "times"; deck; "--jobs"; "1" ] in
-            let code2, out2 = run [ "times"; deck; "--jobs"; "2" ] in
-            check_int "exit -j1" 0 code1;
-            check_int "exit -j2" 0 code2;
-            check_bool "same output" true (out1 = out2)));
+        (* only selfcheck takes --jobs; its summary counts are the same at
+           any domain count (the timings are not) *)
+        let selfcheck jobs =
+          let code, out = run [ "selfcheck"; "--cases"; "12"; "--seed"; "3"; "--jobs"; jobs ] in
+          let summary =
+            List.find (String.starts_with ~prefix:"selfcheck:") (String.split_on_char '\n' out)
+          in
+          (code, List.hd (String.split_on_char '(' summary))
+        in
+        let code1, out1 = selfcheck "1" in
+        let code2, out2 = selfcheck "2" in
+        check_int "exit -j1" 0 code1;
+        check_int "exit -j2" 0 code2;
+        check_bool "same output" true (out1 = out2));
     Alcotest.test_case "jobs flag validated" `Quick (fun () ->
+        let code, out = run [ "selfcheck"; "--cases"; "1"; "--jobs"; "0" ] in
+        check_int "exit" 2 code;
+        check_bool "message" true (contains out "--jobs");
+        (* the analyses are serial and no longer take the flag *)
         with_fig7_deck (fun deck ->
-            let code, out = run [ "times"; deck; "--jobs"; "0" ] in
-            check_int "exit" 2 code;
-            check_bool "message" true (contains out "--jobs")));
+            let code, _ = run [ "times"; deck; "--jobs"; "2" ] in
+            check_bool "times rejects --jobs" true (code <> 0)));
     Alcotest.test_case "unknown subcommand fails" `Quick (fun () ->
         let code, _ = run [ "frobnicate" ] in
         check_bool "nonzero" true (code <> 0));
@@ -304,6 +315,36 @@ let tests =
                 ([ "moments"; "--segments"; "0" ], "--segments");
                 ([ "ac"; "--segments"; "0" ], "--segments");
               ]));
+    Alcotest.test_case "bounds, certify, voltage, ramp, ac, sweep and pla: bad flags exit 2" `Quick
+      (fun () ->
+        with_fig7_deck (fun deck ->
+            List.iter
+              (fun (args, flag) ->
+                let code, out = run (args @ [ deck ]) in
+                let what = String.concat " " args in
+                check_int ("exit: " ^ what) 2 code;
+                check_bool ("names " ^ flag ^ ": " ^ what) true (contains out flag);
+                check_bool ("no nan row: " ^ what) false (contains out "nan"))
+              [
+                ([ "ramp"; "--rise"; "0" ], "--rise");
+                ([ "ramp"; "--rise"; "nan" ], "--rise");
+                ([ "ramp"; "--rise"; "100"; "--threshold"; "2" ], "--threshold");
+                ([ "bounds"; "--threshold"; "2" ], "--threshold");
+                ([ "certify"; "--threshold"; "2"; "--deadline"; "100" ], "--threshold");
+                ([ "certify"; "--deadline"; "nan" ], "--deadline");
+                ([ "voltage"; "--time=-1" ], "--time");
+                ([ "voltage"; "--time"; "nan" ], "--time");
+                ([ "ac"; "--points"; "1" ], "--points");
+                ([ "ac"; "--points"; "0" ], "--points");
+                ([ "sweep"; "-e"; "scale-r root 2"; "--threshold"; "2" ], "--threshold");
+              ]);
+        List.iter
+          (fun (args, flag) ->
+            let code, out = run ("pla" :: args) in
+            let what = String.concat " " args in
+            check_int ("exit: pla " ^ what) 2 code;
+            check_bool ("names " ^ flag ^ ": pla " ^ what) true (contains out flag))
+          [ ([ "--minterms=-3" ], "--minterms"); ([ "--threshold"; "2" ], "--threshold") ]);
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

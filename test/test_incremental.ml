@@ -97,8 +97,8 @@ let edit_sequence_prop =
       let ok, _, _ = !ok in
       ok)
 
-let sweep_domains_prop =
-  QCheck.Test.make ~count:25 ~name:"sweep results independent of domain count"
+let sweep_prop =
+  QCheck.Test.make ~count:25 ~name:"sweep = per-query apply_all"
     (QCheck.pair arb_expr QCheck.small_nat)
     (fun (e, seed) ->
       let st = Random.State.make [| 0x5ee9; seed |] in
@@ -115,11 +115,7 @@ let sweep_domains_prop =
             in
             take (1 + Random.State.int st 3) [] h)
       in
-      let serial = Array.map (fun q -> I.times (I.apply_all h q)) queries in
-      List.for_all
-        (fun domains ->
-          Parallel.Pool.with_pool ~domains (fun pool -> I.sweep ~pool h queries) = serial)
-        [ 1; 2; 4 ])
+      I.sweep h queries = Array.map (fun q -> I.times (I.apply_all h q)) queries)
 
 let close ?(rtol = 1e-9) a b = Numeric.Float_cmp.approx_eq ~rtol ~atol:1e-12 a b
 
@@ -310,7 +306,7 @@ let () =
       ( "properties",
         to_alcotest
           [
-            edit_sequence_prop; sweep_domains_prop; times_scaled_prop; balanced_cascade_prop;
+            edit_sequence_prop; sweep_prop; times_scaled_prop; balanced_cascade_prop;
           ] );
       ( "units",
         [

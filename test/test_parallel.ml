@@ -1,7 +1,7 @@
-(* The parallel engine: Pool combinator semantics (determinism, work
-   chunking, exception capture, re-entrancy) and its pooled clients;
-   plus the equivalence of the Rctree.Analysis handle, its batches and
-   the legacy one-shot API, bit for bit. *)
+(* The parallel engine: Pool.map semantics (determinism, work chunking,
+   exception capture, re-entrancy); plus the equivalence of the
+   Rctree.Analysis handle, its batches and the legacy one-shot API, bit
+   for bit. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -53,34 +53,25 @@ let pool_tests =
             let xs = Array.init 7 Fun.id in
             let out = Parallel.Pool.map ~pool ~chunk:1 (fun x -> x * x) xs in
             Array.iteri (fun i v -> check_int "sq" (i * i) v) out));
-    Alcotest.test_case "parallel_for touches every index exactly once" `Quick (fun () ->
+    Alcotest.test_case "map touches every index exactly once" `Quick (fun () ->
         Parallel.Pool.with_pool ~domains:4 (fun pool ->
             let n = 1000 in
             let hits = Array.init n (fun _ -> Atomic.make 0) in
-            Parallel.Pool.parallel_for ~pool ~n (fun i -> Atomic.incr hits.(i));
+            ignore (Parallel.Pool.map ~pool (fun i -> Atomic.incr hits.(i)) (Array.init n Fun.id));
             Array.iteri (fun i a -> check_int (Printf.sprintf "hits.(%d)" i) 1 (Atomic.get a)) hits));
-    Alcotest.test_case "map_list preserves order" `Quick (fun () ->
+    Alcotest.test_case "map preserves order" `Quick (fun () ->
         Parallel.Pool.with_pool ~domains:3 (fun pool ->
             let xs = List.init 100 Fun.id in
-            let ys = Parallel.Pool.map_list ~pool (fun x -> 2 * x) xs in
+            let ys = Array.to_list (Parallel.Pool.map ~pool (fun x -> 2 * x) (Array.of_list xs)) in
             check_bool "ordered" true (ys = List.map (fun x -> 2 * x) xs)));
-    Alcotest.test_case "map_reduce folds in index order" `Quick (fun () ->
-        (* string concatenation is non-associative-with-init: any
-           completion-order reduction would scramble it *)
-        let xs = Array.init 64 (fun i -> Printf.sprintf "%x" (i mod 16)) in
-        let serial = Array.fold_left ( ^ ) "" xs in
-        Parallel.Pool.with_pool ~domains:4 (fun pool ->
-            let par =
-              Parallel.Pool.map_reduce ~pool ~chunk:3 ~map:Fun.id ~combine:( ^ ) ~init:"" xs
-            in
-            check_bool "same string" true (String.equal serial par)));
     Alcotest.test_case "exception re-raised, lowest index wins" `Quick (fun () ->
         Parallel.Pool.with_pool ~domains:4 (fun pool ->
             (match
-               Parallel.Pool.parallel_for ~pool ~chunk:1 ~n:32 (fun i ->
-                   if i = 7 || i = 23 then failwith (Printf.sprintf "boom%d" i))
+               Parallel.Pool.map ~pool ~chunk:1
+                 (fun i -> if i = 7 || i = 23 then failwith (Printf.sprintf "boom%d" i))
+                 (Array.init 32 Fun.id)
              with
-            | () -> Alcotest.fail "expected Failure"
+            | _ -> Alcotest.fail "expected Failure"
             | exception Failure msg -> Alcotest.(check string) "lowest" "boom7" msg);
             (* the pool survives a failed job *)
             let out = Parallel.Pool.map ~pool (fun x -> x + 1) (Array.init 16 Fun.id) in
@@ -102,7 +93,7 @@ let pool_tests =
         Parallel.Pool.shutdown pool;
         Parallel.Pool.shutdown pool;
         check_invalid "use after shutdown" (fun () ->
-            Parallel.Pool.parallel_for ~pool ~n:4 ignore));
+            Parallel.Pool.map ~pool ignore (Array.make 4 ())));
     Alcotest.test_case "set_default_domains resizes the shared pool" `Quick (fun () ->
         Parallel.Pool.set_default_domains 3;
         check_int "default" 3 (Parallel.Pool.default_domains ());
@@ -244,64 +235,10 @@ let random_tree_props =
            = per_output (fun output -> Rctree.Analysis.voltage_bounds h ~output ~time:10.));
   ]
 
-(* --- parallel clients: STA, Monte-Carlo, PLA sweep ------------------- *)
-
-let client_tests =
-  [
-    Alcotest.test_case "STA run: pooled = serial endpoints" `Quick (fun () ->
-        let d = Sta.Generate.ripple_carry_adder ~bits:6 () in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                let r1 = Sta.Analysis.run_exn ~pool:serial d in
-                let r2 = Sta.Analysis.run_exn ~pool d in
-                check_bool "endpoints" true
-                  (Sta.Analysis.endpoints r1 = Sta.Analysis.endpoints r2);
-                check_bool "period" true
-                  (Sta.Analysis.required_period r1 = Sta.Analysis.required_period r2);
-                let re1 = Sta.Analysis.run_exn ~mode:Sta.Analysis.Elmore_mode ~pool:serial d in
-                let re2 = Sta.Analysis.run_exn ~mode:Sta.Analysis.Elmore_mode ~pool d in
-                check_bool "elmore endpoints" true
-                  (Sta.Analysis.endpoints re1 = Sta.Analysis.endpoints re2))));
-    Alcotest.test_case "Monte-Carlo: pooled = serial spreads" `Quick (fun () ->
-        let p = Tech.Process.default_4um in
-        let params = Tech.Pla.default_params p in
-        let build process =
-          let tree = Tech.Pla.line_tree process params ~minterms:10 in
-          (tree, snd (List.hd (Rctree.Tree.outputs tree)))
-        in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                let s1 =
-                  Tech.Variation.monte_carlo ~samples:60 ~seed:7 ~pool:serial p ~build
-                    ~threshold:0.7
-                in
-                let s2 =
-                  Tech.Variation.monte_carlo ~samples:60 ~seed:7 ~pool p ~build ~threshold:0.7
-                in
-                check_bool "spreads" true (s1 = s2))));
-    Alcotest.test_case "PLA sweep: pooled = serial" `Quick (fun () ->
-        let p = Tech.Process.default_4um in
-        let params = Tech.Pla.default_params p in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                check_bool "rows" true
-                  (Tech.Pla.sweep ~threshold:0.7 ~pool p params ~minterms:[ 2; 4; 10; 20; 40 ]
-                  = Tech.Pla.sweep ~threshold:0.7 ~pool:serial p params
-                      ~minterms:[ 2; 4; 10; 20; 40 ]))));
-    Alcotest.test_case "Netdelay.all_sink_delays: pooled = serial" `Quick (fun () ->
-        let d = Sta.Generate.ripple_carry_adder ~bits:4 () in
-        Parallel.Pool.with_pool ~domains:1 (fun serial ->
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                check_bool "delays" true
-                  (Sta.Netdelay.all_sink_delays ~pool d
-                  = Sta.Netdelay.all_sink_delays ~pool:serial d))));
-  ]
-
 let () =
   Alcotest.run "parallel"
     [
       ("pool", pool_tests);
       ("handle", handle_tests);
       ("random trees", List.map QCheck_alcotest.to_alcotest random_tree_props);
-      ("clients", client_tests);
     ]
