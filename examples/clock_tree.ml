@@ -57,13 +57,14 @@ let () =
     Printf.printf "%s\n" title;
     let table = Reprolib.Table.create ~columns:[ "leaf"; "tmin(ns)"; "tmax(ns)"; "elmore(ns)" ] in
     let lo_all = ref infinity and hi_all = ref neg_infinity in
-    List.iter
+    let h = Rctree.Analysis.make tree in
+    Array.iter
       (fun (label, id, ts) ->
-        let lo, hi = Rctree.delay_bounds tree ~output:id ~threshold:0.5 in
+        let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
         lo_all := Float.min !lo_all lo;
         hi_all := Float.max !hi_all hi;
         Reprolib.Table.add_row table [ label; fmt lo; fmt hi; fmt ts.Rctree.Times.t_d ])
-      (Rctree.Moments.all_output_times tree);
+      (Rctree.Analysis.all_times h);
     Reprolib.Table.print table;
     Printf.printf "certified skew bound: %.4f ns\n" ((!hi_all -. !lo_all) *. 1e9);
     Printf.printf
@@ -78,20 +79,18 @@ let () =
   let mapping = Array.make (Rctree.Tree.node_count tree) (-1) in
   mapping.(Rctree.Tree.input tree) <- Rctree.Tree.Builder.input b2;
   Rctree.Tree.iter_nodes tree ~f:(fun id ->
-      match Rctree.Tree.parent tree id with
-      | None -> ()
-      | Some parent ->
-          let name = Rctree.Tree.node_name tree id in
-          let nid =
-            match Rctree.Tree.element tree id with
-            | Some (Rctree.Element.Resistor r) ->
-                Rctree.Tree.Builder.add_resistor b2 ~parent:mapping.(parent) ~name r
-            | Some (Rctree.Element.Line { resistance; capacitance }) ->
-                Rctree.Tree.Builder.add_line b2 ~parent:mapping.(parent) ~name resistance capacitance
-            | Some (Rctree.Element.Capacitor _) | None -> assert false
-          in
-          mapping.(id) <- nid;
-          Rctree.Tree.Builder.add_capacitance b2 nid (Rctree.Tree.capacitance tree id));
+      if id <> Rctree.Tree.input tree then begin
+        (* a line of zero capacitance comes back as a resistor *)
+        let nid =
+          Rctree.Tree.Builder.add_line b2
+            ~parent:mapping.(Rctree.Tree.parent tree id)
+            ~name:(Rctree.Tree.node_name tree id)
+            (Rctree.Tree.resistances tree).(id)
+            (Rctree.Tree.line_capacitances tree).(id)
+        in
+        mapping.(id) <- nid;
+        Rctree.Tree.Builder.add_capacitance b2 nid (Rctree.Tree.capacitance tree id)
+      end);
   List.iter (fun (label, id) -> Rctree.Tree.Builder.mark_output b2 ~label mapping.(id))
     (Rctree.Tree.outputs tree);
   (* the extra tap: 60 um of minimum-width poly to two gates *)

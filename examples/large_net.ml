@@ -36,7 +36,11 @@ let () =
     (fun n ->
       let tree = Circuit.Large.rc_chain ~sections:n ~r:10. ~c:1e-14 in
       let out = Rctree.Tree.output_named tree "out" in
-      let (lo, hi), t_bounds = wall (fun () -> Rctree.delay_bounds tree ~output:out ~threshold:0.5) in
+      let (lo, hi), t_bounds =
+        wall (fun () ->
+            let h = Rctree.Analysis.make tree in
+            Rctree.Analysis.delay_bounds h ~output:(`Id out) ~threshold:0.5)
+      in
       let _, t_step =
         wall (fun () -> step_wave tree ~dt:1e-10 ~t_end:1e-10 ~output:out)
       in
@@ -70,7 +74,9 @@ let () =
   (* and the window is not merely cheap — it is correct *)
   let tree = Circuit.Large.rc_chain ~sections:400 ~r:10. ~c:1e-14 in
   let out = Rctree.Tree.output_named tree "out" in
-  let lo, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.5 in
+  let lo, hi =
+    Rctree.Analysis.delay_bounds (Rctree.Analysis.make tree) ~output:(`Id out) ~threshold:0.5
+  in
   let tau = Rctree.Moments.elmore tree ~output:out in
   let ws = step_wave tree ~dt:(tau /. 400.) ~t_end:(2. *. tau) ~output:out in
   match Circuit.Waveform.crossing_time ws ~threshold:0.5 with

@@ -95,7 +95,9 @@ let () =
   List.iter
     (fun { Tech.Variation.corner_name; process = proc } ->
       let tree, out = build proc in
-      let _, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.7 in
+      let _, hi =
+        Rctree.Analysis.delay_bounds (Rctree.Analysis.make tree) ~output:(`Id out) ~threshold:0.7
+      in
       Printf.printf "  corner %-8s tmax = %.4f ns\n" corner_name (hi *. 1e9))
     (Tech.Variation.corners process);
   let _, tmax_spread =

@@ -27,18 +27,19 @@ let () =
   Rctree.Tree.Builder.add_capacitance b e 9.;
   Rctree.Tree.Builder.mark_output b ~label:"e" e;
   let tree = Rctree.Tree.Builder.finish b in
-  let ts_tree = Rctree.analyze_named tree ~output:"e" in
+  let h = Rctree.Analysis.make tree in
+  let ts_tree = Rctree.Analysis.times h ~output:(`Name "e") in
   Printf.printf "builder route agrees: %b\n\n" (Rctree.Times.equal ts ts_tree);
 
   (* --- 3. the three questions of the abstract ------------------- *)
   let out = Rctree.Tree.output_named tree "e" in
-  let lo, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.5 in
+  let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Id out) ~threshold:0.5 in
   Printf.printf "Q1  when does the output pass 50%%?   t in [%.2f, %.2f]\n" lo hi;
-  let vlo, vhi = Rctree.voltage_bounds tree ~output:out ~time:100. in
+  let vlo, vhi = Rctree.Analysis.voltage_bounds h ~output:(`Id out) ~time:100. in
   Printf.printf "Q2  where is the voltage at t=100?   v in [%.5f, %.5f]\n" vlo vhi;
   List.iter
     (fun deadline ->
-      let verdict = Rctree.certify tree ~output:out ~threshold:0.5 ~deadline in
+      let verdict = Rctree.Analysis.certify h ~output:(`Id out) ~threshold:0.5 ~deadline in
       Printf.printf "Q3  settled to 50%% by t=%-4g?        %s\n" deadline
         (Rctree.Bounds.verdict_to_string verdict))
     [ 150.; 250.; 350. ];

@@ -16,7 +16,7 @@
 let () =
   let tree = Rctree.Convert.tree_of_expr Rctree.Expr.fig7 in
   let out = Rctree.Tree.output_named tree "out" in
-  let ts = Rctree.analyze tree ~output:out in
+  let ts = Rctree.Analysis.times (Rctree.Analysis.make tree) ~output:(`Id out) in
   Printf.printf "network: Fig. 7, T_P = %g, T_De = %g, T_Re = %.4g\n\n" ts.Rctree.Times.t_p
     ts.Rctree.Times.t_d ts.Rctree.Times.t_r;
 

@@ -52,7 +52,7 @@ let build widths =
 
 let tmax widths =
   let tree, out = build widths in
-  snd (Rctree.delay_bounds tree ~output:out ~threshold)
+  snd (Rctree.Analysis.delay_bounds (Rctree.Analysis.make tree) ~output:(`Id out) ~threshold)
 
 (* first-order prediction of the t_max = f(T_P, T_De, T_Re) change is
    messy; the Elmore gradient is the standard proxy and ranks segments
@@ -80,7 +80,8 @@ let () =
   in
   let verdict widths =
     let tree, out = build widths in
-    Rctree.Bounds.verdict_to_string (Rctree.certify tree ~output:out ~threshold ~deadline)
+    Rctree.Bounds.verdict_to_string
+      (Rctree.Analysis.certify (Rctree.Analysis.make tree) ~output:(`Id out) ~threshold ~deadline)
   in
   Reprolib.Table.add_row table
     [ "0"; "-"; "-"; "-"; "-"; Printf.sprintf "%.4f" (tmax widths *. 1e9); verdict widths ];

@@ -17,7 +17,7 @@ let rebuild (case : Case.t) ~act ~cap ~edits =
   Rctree.Tree.Builder.add_capacitance b input (cap 0);
   Rctree.Tree.fold_nodes tree ~init:() ~f:(fun () id ->
       if id <> 0 then
-        let p = Option.get (Rctree.Tree.parent tree id) in
+        let p = Rctree.Tree.parent tree id in
         if mapped.(p) >= 0 then
           match act id with
           | Drop -> ()
@@ -50,7 +50,7 @@ let candidates (case : Case.t) =
   let on_output_path = Array.make n false in
   let rec mark id =
     on_output_path.(id) <- true;
-    match Rctree.Tree.parent tree id with Some p -> mark p | None -> ()
+    if id <> 0 then mark (Rctree.Tree.parent tree id)
   in
   mark output;
   let keep id = Keep (Option.get (Rctree.Tree.element tree id)) in

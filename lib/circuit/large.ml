@@ -1,27 +1,19 @@
+(* The input is node 0 and ids are parent-first, so node [id] is row
+   [id - 1] and its parent row is [parents.(id) - 1]: -1 exactly when
+   the parent is the driven input. *)
 type operator = {
-  conductance : float array; (* per node: 1/R of the edge above it; 0 for the input *)
-  parent_row : int array; (* row of the parent; -1 when the parent is the driven input *)
-  children_rows : int list array; (* rows of the children *)
+  conductance : float array; (* per row: 1/R of the edge above it *)
+  parent_row : int array;
   c_over_dt : float array;
-  source_rows : int list; (* rows whose parent is the driven input *)
-  row_of_node : int array;
 }
 
 let operator ?cap_floor tree ~dt =
   if dt <= 0. then invalid_arg "Large.operator: dt must be positive";
   if Rctree.Tree.has_distributed_lines tree then
     invalid_arg "Large.operator: discretize distributed lines first";
-  let n = Rctree.Tree.node_count tree in
-  let input = Rctree.Tree.input tree in
-  let rows = n - 1 in
-  let row_of_node = Array.make n (-1) in
-  let next = ref 0 in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      row_of_node.(id) <- !next;
-      incr next
-    end
-  done;
+  let rows = Rctree.Tree.node_count tree - 1 in
+  let parents = Rctree.Tree.parents tree and r = Rctree.Tree.resistances tree in
+  let cap = Rctree.Tree.capacitances tree in
   let floor =
     match cap_floor with
     | Some f ->
@@ -31,71 +23,62 @@ let operator ?cap_floor tree ~dt =
         let total = Rctree.Tree.total_capacitance tree in
         if total > 0. then 1e-12 *. total else 1e-18
   in
-  let conductance = Array.make rows 0. in
+  let conductance = Array.make rows 0. and c_over_dt = Array.make rows 0. in
   let parent_row = Array.make rows (-1) in
-  let children_rows = Array.make rows [] in
-  let c_over_dt = Array.make rows 0. in
-  let source_rows = ref [] in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      let row = row_of_node.(id) in
-      c_over_dt.(row) <- Float.max floor (Rctree.Tree.capacitance tree id) /. dt;
-      (match Rctree.Tree.element tree id with
-      | Some (Rctree.Element.Resistor r) when r > 0. -> conductance.(row) <- 1. /. r
-      | Some (Rctree.Element.Resistor _) ->
-          invalid_arg
-            (Printf.sprintf "Large.operator: node %S connects through zero resistance"
-               (Rctree.Tree.node_name tree id))
-      | Some (Rctree.Element.Line _) | Some (Rctree.Element.Capacitor _) | None -> assert false);
-      match Rctree.Tree.parent tree id with
-      | Some p when p = input ->
-          parent_row.(row) <- -1;
-          source_rows := row :: !source_rows
-      | Some p ->
-          let prow = row_of_node.(p) in
-          parent_row.(row) <- prow;
-          children_rows.(prow) <- row :: children_rows.(prow)
-      | None -> assert false
-    end
+  for row = 0 to rows - 1 do
+    let id = row + 1 in
+    if not (r.(id) > 0.) then
+      invalid_arg
+        (Printf.sprintf "Large.operator: node %S connects through zero resistance"
+           (Rctree.Tree.node_name tree id));
+    conductance.(row) <- 1. /. r.(id);
+    c_over_dt.(row) <- Float.max floor cap.(id) /. dt;
+    parent_row.(row) <- parents.(id) - 1
   done;
-  { conductance; parent_row; children_rows; c_over_dt; source_rows = !source_rows; row_of_node }
+  { conductance; parent_row; c_over_dt }
 
 let node_count op = Array.length op.conductance
 
 let row op node =
-  if node < 0 || node >= Array.length op.row_of_node then
-    invalid_arg "Large.row: unknown node";
-  op.row_of_node.(node)
+  if node < 0 || node > node_count op then invalid_arg "Large.row: unknown node";
+  node - 1
 
 let c_over_dt op = op.c_over_dt
-let source_rows op = List.map (fun r -> (r, op.conductance.(r))) op.source_rows
 
+let source_rows op =
+  let acc = ref [] in
+  Array.iteri
+    (fun row p -> if p = -1 then acc := (row, op.conductance.(row)) :: !acc)
+    op.parent_row;
+  !acc
+
+(* c + g + (Σ children g), the children summed in descending row order:
+   a fixed association, so the factor and every solve round the same way
+   on every run *)
 let diagonal op =
-  Array.init (node_count op) (fun r ->
-      op.c_over_dt.(r) +. op.conductance.(r)
-      +. List.fold_left (fun acc child -> acc +. op.conductance.(child)) 0. op.children_rows.(r))
+  let rows = node_count op in
+  let below = Array.make rows 0. in
+  for row = rows - 1 downto 0 do
+    let p = op.parent_row.(row) in
+    if p >= 0 then below.(p) <- below.(p) +. op.conductance.(row)
+  done;
+  Array.init rows (fun row -> op.c_over_dt.(row) +. op.conductance.(row) +. below.(row))
 
-(* the currents of the edges below row [r], added into y.(r): a top-level
-   recursion rather than a List.iter closure, which would be allocated
-   for every row of every step *)
-let rec add_child_currents conductance x y r = function
-  | [] -> ()
-  | child :: rest ->
-      y.(r) <- y.(r) +. (conductance.(child) *. (x.(r) -. x.(child)));
-      add_child_currents conductance x y r rest
-
-(* y = (C/dt + G) x into a caller buffer, walking edges instead of a matrix *)
+(* y = (C/dt + G) x into a caller buffer, walking edges instead of a
+   matrix: first each row's own capacitor and the edge above it, then
+   the edges below each row, children in descending row order *)
 let apply_into op x ~into:y =
   let rows = Array.length op.conductance in
   if Array.length x <> rows || Array.length y <> rows then
     invalid_arg "Large.apply: dimension mismatch";
-  for r = 0 to rows - 1 do
-    y.(r) <- op.c_over_dt.(r) *. x.(r);
-    (* the edge above [r]: current g*(x_r - x_parent) *)
-    let xp = if op.parent_row.(r) = -1 then 0. else x.(op.parent_row.(r)) in
-    y.(r) <- y.(r) +. (op.conductance.(r) *. (x.(r) -. xp));
-    (* edges below [r] *)
-    add_child_currents op.conductance x y r op.children_rows.(r)
+  for row = 0 to rows - 1 do
+    let p = op.parent_row.(row) in
+    let xp = if p = -1 then 0. else x.(p) in
+    y.(row) <- (op.c_over_dt.(row) *. x.(row)) +. (op.conductance.(row) *. (x.(row) -. xp))
+  done;
+  for row = rows - 1 downto 0 do
+    let p = op.parent_row.(row) in
+    if p >= 0 then y.(p) <- y.(p) +. (op.conductance.(row) *. (x.(p) -. x.(row)))
   done
 
 let apply op x =

@@ -10,18 +10,10 @@ let of_tree ?cap_floor tree =
   if Rctree.Tree.has_distributed_lines tree then
     invalid_arg "Mna.of_tree: discretize distributed lines first (Rctree.Lump.discretize)";
   let n = Rctree.Tree.node_count tree in
-  let input = Rctree.Tree.input tree in
   let rows = n - 1 in
-  let row_of_node = Array.make n (-1) in
-  let node_of_row = Array.make rows 0 in
-  let next = ref 0 in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      row_of_node.(id) <- !next;
-      node_of_row.(!next) <- id;
-      incr next
-    end
-  done;
+  (* the input is node 0 and is not a row: node id = row + 1 *)
+  let row_of_node = Array.init n (fun id -> id - 1) in
+  let node_of_row = Array.init rows (fun row -> row + 1) in
   let floor =
     match cap_floor with
     | Some f ->
@@ -34,29 +26,22 @@ let of_tree ?cap_floor tree =
   let g = Numeric.Matrix.create rows rows in
   let b = Numeric.Vector.create rows in
   let c = Numeric.Vector.create rows in
-  for id = 0 to n - 1 do
-    if id <> input then begin
-      let row = row_of_node.(id) in
-      c.(row) <- Float.max floor (Rctree.Tree.capacitance tree id);
-      match Rctree.Tree.element tree id with
-      | None -> assert false
-      | Some (Rctree.Element.Line _) -> assert false (* excluded above *)
-      | Some (Rctree.Element.Capacitor _) -> assert false (* builder never makes these edges *)
-      | Some (Rctree.Element.Resistor r) ->
-          if r <= 0. then
-            invalid_arg
-              (Printf.sprintf "Mna.of_tree: node %S connects through zero resistance"
-                 (Rctree.Tree.node_name tree id));
-          let cond = 1. /. r in
-          let p = match Rctree.Tree.parent tree id with Some p -> p | None -> assert false in
-          Numeric.Matrix.add_entry g row row cond;
-          if p = input then b.(row) <- b.(row) +. cond
-          else begin
-            let prow = row_of_node.(p) in
-            Numeric.Matrix.add_entry g prow prow cond;
-            Numeric.Matrix.add_entry g row prow (-.cond);
-            Numeric.Matrix.add_entry g prow row (-.cond)
-          end
+  let parents = Rctree.Tree.parents tree and r = Rctree.Tree.resistances tree in
+  let cap = Rctree.Tree.capacitances tree in
+  for id = 1 to n - 1 do
+    let row = id - 1 in
+    c.(row) <- Float.max floor cap.(id);
+    if r.(id) <= 0. then
+      invalid_arg
+        (Printf.sprintf "Mna.of_tree: node %S connects through zero resistance"
+           (Rctree.Tree.node_name tree id));
+    let cond = 1. /. r.(id) and prow = parents.(id) - 1 in
+    Numeric.Matrix.add_entry g row row cond;
+    if prow < 0 then b.(row) <- b.(row) +. cond
+    else begin
+      Numeric.Matrix.add_entry g prow prow cond;
+      Numeric.Matrix.add_entry g row prow (-.cond);
+      Numeric.Matrix.add_entry g prow row (-.cond)
     end
   done;
   { g; c; b; node_of_row; row_of_node }

@@ -29,30 +29,22 @@ let make tree =
   Obs.Counter.incr m_handles;
   let n = Tree.node_count tree in
   Obs.Counter.add m_nodes n;
-  let parent = Array.make n 0 and r = Array.make n 0. and c_line = Array.make n 0. in
-  let rkk = Array.make n 0. and c_sub = Array.make n 0. in
+  let parent = Tree.parents tree and r = Tree.resistances tree in
+  let c_line = Tree.line_capacitances tree in
+  let rkk = Array.make n 0. and c_sub = Array.copy (Tree.capacitances tree) in
   let t_p = ref 0. in
   for k = 1 to n - 1 do
-    let p = match Tree.parent tree k with Some p -> p | None -> 0 in
-    let a = rkk.(p) in
-    (match Tree.element tree k with
-    | Some e ->
-        r.(k) <- Element.resistance e;
-        c_line.(k) <- Element.capacitance e
-    | None -> ());
-    parent.(k) <- p;
+    let a = rkk.(parent.(k)) in
     rkk.(k) <- a +. r.(k);
-    c_sub.(k) <- Tree.capacitance tree k;
     t_p := !t_p +. (c_sub.(k) *. rkk.(k)) +. (c_line.(k) *. (a +. (r.(k) /. 2.)))
   done;
   for k = n - 1 downto 1 do
     let p = parent.(k) in
     c_sub.(p) <- c_sub.(p) +. c_sub.(k) +. c_line.(k)
   done;
-  (* T_D and S2 overwrite C_sub and R in place: a parent's slot is
-     rewritten before any of its children reads it, and the input's row
-     is zero (its edge resistance already is) *)
-  let td = c_sub and s2 = r in
+  (* T_D overwrites C_sub in place: a parent's slot is rewritten before
+     any of its children reads it, and the input's row is zero *)
+  let td = c_sub and s2 = Array.make n 0. in
   td.(0) <- 0.;
   for k = 1 to n - 1 do
     let p = parent.(k) and rk = r.(k) and cs = c_sub.(k) and cl = c_line.(k) in

@@ -29,14 +29,10 @@ let expr_of_tree t ~output =
   if output < 0 || output >= Tree.node_count t then invalid_arg "Convert.expr_of_tree: unknown node";
   Obs.Counter.incr m_to_expr;
   let on_path = Path.on_path_to t output in
-  let cap_leaf id rest =
-    if Tree.capacitance t id > 0. then Expr.capacitor (Tree.capacitance t id) :: rest else rest
-  in
-  let edge_leaf id rest =
-    match Tree.element t id with
-    | None -> rest
-    | Some e -> Expr.urc (Element.resistance e) (Element.capacitance e) :: rest
-  in
+  let r = Tree.resistances t and line_c = Tree.line_capacitances t in
+  let cap = Tree.capacitances t in
+  let cap_leaf id rest = if cap.(id) > 0. then Expr.capacitor cap.(id) :: rest else rest in
+  let edge_leaf id rest = if id = 0 then rest else Expr.urc r.(id) line_c.(id) :: rest in
   let rec below id =
     let spine, sides = List.partition (fun c -> on_path.(c)) (Tree.children t id) in
     let side_branches = List.map (fun c -> Expr.wb (fragment c)) sides in

@@ -2,19 +2,16 @@
    f(child) = f(parent) + R_edge * (Σ of w over the child's subtree). *)
 let weighted_path_sums t weights =
   let n = Tree.node_count t in
+  let parent = Tree.parents t and r = Tree.resistances t in
   let subtree = Array.copy weights in
   (* ids are topological, so reverse order folds children into parents *)
   for id = n - 1 downto 1 do
-    match Tree.parent t id with
-    | Some p -> subtree.(p) <- subtree.(p) +. subtree.(id)
-    | None -> ()
+    let p = parent.(id) in
+    subtree.(p) <- subtree.(p) +. subtree.(id)
   done;
   let f = Array.make n 0. in
   for id = 1 to n - 1 do
-    match (Tree.parent t id, Tree.element t id) with
-    | Some p, Some e -> f.(id) <- f.(p) +. (Element.resistance e *. subtree.(id))
-    | Some p, None -> f.(id) <- f.(p)
-    | None, _ -> ()
+    f.(id) <- f.(parent.(id)) +. (r.(id) *. subtree.(id))
   done;
   f
 
@@ -25,7 +22,8 @@ let all_moments t ~order =
   let n = Tree.node_count t in
   let m = Array.make_matrix (order + 1) n 1. in
   for j = 1 to order do
-    let weights = Array.init n (fun k -> Tree.capacitance t k *. m.(j - 1).(k)) in
+    let cap = Tree.capacitances t in
+    let weights = Array.init n (fun k -> cap.(k) *. m.(j - 1).(k)) in
     m.(j) <- weighted_path_sums t weights
   done;
   m

@@ -21,7 +21,7 @@ let times_direct t ~output =
   let on_path = Array.make n false in
   let rec up id =
     on_path.(id) <- true;
-    match Tree.parent t id with Some p -> up p | None -> ()
+    if id <> 0 then up (Tree.parent t id)
   in
   up output;
   let first = ref 0. and second = ref 0. and tp = ref 0. in
@@ -32,7 +32,7 @@ let times_direct t ~output =
       second := !second +. (ck *. rke.(id) *. rke.(id));
       match Tree.element t id with
       | Some (Element.Line { resistance = r; capacitance = c }) ->
-          let a = match Tree.parent t id with Some p -> rkk.(p) | None -> 0. in
+          let a = rkk.(Tree.parent t id) in
           tp := !tp +. line_first_moment ~a ~r ~c;
           if on_path.(id) then begin
             first := !first +. line_first_moment ~a ~r ~c;

@@ -6,12 +6,11 @@
     - {!Element}, {!Tree}: network representation
     - {!Expr}, {!Twoport}: the paper's linear-time construction algebra
     - {!Path}, {!Moments}, {!Times}: characteristic times
+    - {!Analysis}: the query handle — build it once per tree, then ask
+      for times, delay and voltage bounds and certificates
     - {!Bounds}: the delay/voltage bounds and certification
     - {!Incremental}: memoized what-if edits and batch sweeps
-    - {!Lump}, {!Convert}, {!Validate}, {!Units}: supporting tools
-
-    The convenience functions below cover the common "one network, one
-    output, one question" case. *)
+    - {!Lump}, {!Convert}, {!Validate}, {!Units}: supporting tools *)
 
 module Element = Element
 module Times = Times
@@ -32,33 +31,3 @@ module Lump = Lump
 module Validate = Validate
 module Units = Units
 module Analysis = Analysis
-
-(* the one-shot functions are thin wrappers over a throwaway handle;
-   build the handle yourself ({!Analysis.make}) to amortize its
-   traversal over many queries *)
-
-let analyze tree ~output = Analysis.times (Analysis.make tree) ~output:(`Id output)
-let analyze_named tree ~output = Analysis.times (Analysis.make tree) ~output:(`Name output)
-
-let delay_bounds tree ~output ~threshold =
-  Analysis.delay_bounds (Analysis.make tree) ~output:(`Id output) ~threshold
-
-let delay_bounds_named tree ~output ~threshold =
-  Analysis.delay_bounds (Analysis.make tree) ~output:(`Name output) ~threshold
-
-let voltage_bounds tree ~output ~time =
-  Analysis.voltage_bounds (Analysis.make tree) ~output:(`Id output) ~time
-
-let voltage_bounds_named tree ~output ~time =
-  Analysis.voltage_bounds (Analysis.make tree) ~output:(`Name output) ~time
-
-let certify tree ~output ~threshold ~deadline =
-  Analysis.certify (Analysis.make tree) ~output:(`Id output) ~threshold ~deadline
-
-let certify_named tree ~output ~threshold ~deadline =
-  Analysis.certify (Analysis.make tree) ~output:(`Name output) ~threshold ~deadline
-
-let elmore_delay tree ~output = Analysis.elmore (Analysis.make tree) ~output:(`Id output)
-
-let elmore_delay_named tree ~output =
-  Analysis.elmore (Analysis.make tree) ~output:(`Name output)

@@ -7,12 +7,11 @@ let check_node name t id =
 
 let all_downstream_capacitances t =
   let n = Tree.node_count t in
-  let down = Array.init n (fun id -> Tree.capacitance t id) in
+  let parent = Tree.parents t and down = Array.copy (Tree.capacitances t) in
   (* ids are topological: reverse order folds subtrees into parents *)
   for id = n - 1 downto 1 do
-    match Tree.parent t id with
-    | Some p -> down.(p) <- down.(p) +. down.(id)
-    | None -> ()
+    let p = parent.(id) in
+    down.(p) <- down.(p) +. down.(id)
   done;
   down
 

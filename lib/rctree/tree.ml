@@ -2,41 +2,50 @@ type node_id = int
 
 type t = {
   name : string;
-  parents : int array; (* -1 for the input *)
-  elements : Element.t option array;
-  caps : float array;
+  parent : int array; (* -1 for the input *)
+  r : float array; (* series resistance of the edge above the node; 0 for the input *)
+  line_c : float array; (* distributed capacitance of that edge; 0 for a lumped resistor *)
+  cap : float array; (* lumped capacitance at the node *)
+  child_start : int array; (* CSR: the children of k are child_ids.(child_start.(k) ..) *)
+  child_ids : int array; (* ascending per node, which is insertion order *)
   names : string array;
-  children : int list array; (* in insertion order *)
   outputs : (string * node_id) list;
   by_label : (string, node_id) Hashtbl.t; (* first-marked node of each label *)
   marked : bool array; (* node id -> carries at least one output label *)
 }
 
 module Builder = struct
-  type entry = {
-    b_parent : int;
-    b_element : Element.t option;
-    mutable b_cap : float;
-    b_name : string;
-    mutable b_children : int list; (* reverse insertion order *)
-  }
-
   type t = {
     tree_name : string;
-    mutable entries : entry array;
     mutable count : int;
+    mutable b_parent : int array;
+    mutable b_r : float array;
+    mutable b_line_c : float array;
+    mutable b_cap : float array;
+    mutable b_names : string array;
     mutable outs : (string * node_id) list; (* reverse marking order *)
     seen : (string * node_id, unit) Hashtbl.t; (* the pairs in [outs] *)
   }
 
   let default_name id = "n" ^ string_of_int id
 
+  (* small on purpose: STA builds a couple of tiny trees per net *)
+  let initial = 8
+
   let create ?(name = "rc-tree") () =
-    let input_entry =
-      { b_parent = -1; b_element = None; b_cap = 0.; b_name = "in"; b_children = [] }
-    in
-    let entries = Array.make 8 input_entry in
-    { tree_name = name; entries; count = 1; outs = []; seen = Hashtbl.create 16 }
+    let names = Array.make initial "" in
+    names.(0) <- "in";
+    {
+      tree_name = name;
+      count = 1;
+      b_parent = Array.make initial (-1);
+      b_r = Array.make initial 0.;
+      b_line_c = Array.make initial 0.;
+      b_cap = Array.make initial 0.;
+      b_names = names;
+      outs = [];
+      seen = Hashtbl.create 16;
+    }
 
   let input (_ : t) = 0
 
@@ -44,50 +53,71 @@ module Builder = struct
     if id < 0 || id >= b.count then
       invalid_arg (Printf.sprintf "Tree.Builder.%s: unknown node %d" op id)
 
-  let grow b =
-    if b.count = Array.length b.entries then begin
-      let bigger = Array.make (2 * b.count) b.entries.(0) in
-      Array.blit b.entries 0 bigger 0 b.count;
-      b.entries <- bigger
-    end
+  let grow a fill =
+    let bigger = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
 
-  let add_entry b ~parent ~name element =
-    grow b;
+  let add_edge b ~parent ~name r line_c =
     let id = b.count in
-    let name = match name with Some n -> n | None -> default_name id in
-    b.entries.(id) <- { b_parent = parent; b_element = Some element; b_cap = 0.; b_name = name; b_children = [] };
+    if id = Array.length b.b_parent then begin
+      b.b_parent <- grow b.b_parent (-1);
+      b.b_r <- grow b.b_r 0.;
+      b.b_line_c <- grow b.b_line_c 0.;
+      b.b_cap <- grow b.b_cap 0.;
+      b.b_names <- grow b.b_names ""
+    end;
+    b.b_parent.(id) <- parent;
+    b.b_r.(id) <- r;
+    b.b_line_c.(id) <- line_c;
+    b.b_names.(id) <- (match name with Some n -> n | None -> default_name id);
     b.count <- id + 1;
-    let p = b.entries.(parent) in
-    p.b_children <- id :: p.b_children;
     id
+
+  let bad x = x < 0. || not (Float.is_finite x)
 
   let add_node b ~parent ?name element =
     check_node b parent "add_node";
+    let reject what = invalid_arg ("Tree.Builder.add_node: " ^ what) in
     match element with
-    | Element.Capacitor _ ->
-        invalid_arg "Tree.Builder.add_node: capacitance belongs to nodes, use add_capacitance"
-    | Element.Resistor _ | Element.Line _ -> add_entry b ~parent ~name element
+    | Element.Capacitor _ -> reject "capacitance belongs to nodes, use add_capacitance"
+    | Element.Resistor r ->
+        if bad r then reject "resistance must be finite and non-negative";
+        add_edge b ~parent ~name r 0.
+    | Element.Line { resistance; capacitance } ->
+        if bad resistance || bad capacitance then
+          reject "line values must be finite and non-negative";
+        if resistance = 0. then reject "a line needs resistance, use add_line to fold it";
+        add_edge b ~parent ~name resistance capacitance
 
-  let add_resistor b ~parent ?name r = add_node b ~parent ?name (Element.resistor r)
+  let add_resistor b ~parent ?name r =
+    check_node b parent "add_resistor";
+    if bad r then
+      invalid_arg "Tree.Builder.add_resistor: resistance must be finite and non-negative";
+    add_edge b ~parent ~name r 0.
 
   let add_capacitance b id c =
     check_node b id "add_capacitance";
-    if c < 0. || not (Float.is_finite c) then
+    if bad c then
       invalid_arg "Tree.Builder.add_capacitance: capacitance must be finite and non-negative";
-    let e = b.entries.(id) in
-    e.b_cap <- e.b_cap +. c
+    b.b_cap.(id) <- b.b_cap.(id) +. c
 
+  (* the paper's URC reduction, as in [Element.line]: zero capacitance is
+     a resistor, zero resistance a capacitor folded into [parent] *)
   let add_line b ~parent ?name resistance capacitance =
     check_node b parent "add_line";
-    match Element.line ~resistance ~capacitance with
-    | Element.Capacitor c ->
-        add_capacitance b parent c;
-        parent
-    | (Element.Resistor _ | Element.Line _) as e -> add_entry b ~parent ~name e
+    if bad resistance || bad capacitance then
+      invalid_arg "Tree.Builder.add_line: values must be finite and non-negative";
+    if capacitance = 0. then add_edge b ~parent ~name resistance 0.
+    else if resistance = 0. then begin
+      add_capacitance b parent capacitance;
+      parent
+    end
+    else add_edge b ~parent ~name resistance capacitance
 
   let mark_output b ?label id =
     check_node b id "mark_output";
-    let label = match label with Some l -> l | None -> b.entries.(id).b_name in
+    let label = match label with Some l -> l | None -> b.b_names.(id) in
     if not (Hashtbl.mem b.seen (label, id)) then begin
       Hashtbl.add b.seen (label, id) ();
       b.outs <- (label, id) :: b.outs
@@ -95,6 +125,22 @@ module Builder = struct
 
   let finish b =
     let n = b.count in
+    let parent = Array.sub b.b_parent 0 n in
+    (* counting sort of the edges by parent; scanning ids upwards keeps
+       each node's children ascending *)
+    let child_start = Array.make (n + 1) 0 in
+    for k = 1 to n - 1 do
+      child_start.(parent.(k) + 1) <- child_start.(parent.(k) + 1) + 1
+    done;
+    for k = 1 to n do
+      child_start.(k) <- child_start.(k) + child_start.(k - 1)
+    done;
+    let fill = Array.sub child_start 0 n and child_ids = Array.make (n - 1) 0 in
+    for k = 1 to n - 1 do
+      let p = parent.(k) in
+      child_ids.(fill.(p)) <- k;
+      fill.(p) <- fill.(p) + 1
+    done;
     let outputs = List.rev b.outs in
     let by_label = Hashtbl.create (List.length outputs) in
     let marked = Array.make n false in
@@ -105,11 +151,13 @@ module Builder = struct
       outputs;
     {
       name = b.tree_name;
-      parents = Array.init n (fun i -> b.entries.(i).b_parent);
-      elements = Array.init n (fun i -> b.entries.(i).b_element);
-      caps = Array.init n (fun i -> b.entries.(i).b_cap);
-      names = Array.init n (fun i -> b.entries.(i).b_name);
-      children = Array.init n (fun i -> List.rev b.entries.(i).b_children);
+      parent;
+      r = Array.sub b.b_r 0 n;
+      line_c = Array.sub b.b_line_c 0 n;
+      cap = Array.sub b.b_cap 0 n;
+      child_start;
+      child_ids;
+      names = Array.sub b.b_names 0 n;
       outputs;
       by_label;
       marked;
@@ -117,27 +165,37 @@ module Builder = struct
 end
 
 let name t = t.name
-let node_count t = Array.length t.parents
+let node_count t = Array.length t.parent
 let input (_ : t) = 0
+let parents t = t.parent
+let resistances t = t.r
+let line_capacitances t = t.line_c
+let capacitances t = t.cap
 
 let check t id op =
   if id < 0 || id >= node_count t then invalid_arg (Printf.sprintf "Tree.%s: unknown node %d" op id)
 
 let parent t id =
   check t id "parent";
-  if id = 0 then None else Some t.parents.(id)
+  t.parent.(id)
 
+(* builders store a zero-resistance line as a folded capacitor and a
+   zero-capacitance one as a resistor, so line_c > 0 marks a Line *)
 let element t id =
   check t id "element";
-  t.elements.(id)
+  if id = 0 then None
+  else if t.line_c.(id) > 0. then
+    Some (Element.Line { resistance = t.r.(id); capacitance = t.line_c.(id) })
+  else Some (Element.Resistor t.r.(id))
 
 let capacitance t id =
   check t id "capacitance";
-  t.caps.(id)
+  t.cap.(id)
 
 let children t id =
   check t id "children";
-  t.children.(id)
+  let first = t.child_start.(id) in
+  List.init (t.child_start.(id + 1) - first) (fun j -> t.child_ids.(first + j))
 
 let node_name t id =
   check t id "node_name";
@@ -155,25 +213,27 @@ let is_output t id = id >= 0 && id < node_count t && t.marked.(id)
 
 let depth t id =
   check t id "depth";
-  let rec up id acc = if id = 0 then acc else up t.parents.(id) (acc + 1) in
+  let rec up id acc = if id = 0 then acc else up t.parent.(id) (acc + 1) in
   up id 0
 
 let total_capacitance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do
-    acc := !acc +. t.caps.(i) +. (match t.elements.(i) with Some e -> Element.capacitance e | None -> 0.)
+    acc := !acc +. t.cap.(i) +. t.line_c.(i)
   done;
   !acc
 
 let total_resistance t =
   let acc = ref 0. in
   for i = 0 to node_count t - 1 do
-    acc := !acc +. (match t.elements.(i) with Some e -> Element.resistance e | None -> 0.)
+    acc := !acc +. t.r.(i)
   done;
   !acc
 
+(* a loop, not Array.exists: its closure would box every element *)
 let has_distributed_lines t =
-  Array.exists (function Some e -> Element.is_distributed e | None -> false) t.elements
+  let rec scan i = i < node_count t && (t.line_c.(i) > 0. || scan (i + 1)) in
+  scan 0
 
 (* node ids are assigned parent-first by the builder, so index order is
    already a valid top-down order *)
@@ -192,12 +252,16 @@ let iter_nodes t ~f =
 let pp fmt t =
   let rec dump indent id =
     let elem =
-      match t.elements.(id) with None -> "input" | Some e -> Format.asprintf "%a" Element.pp e
+      match element t id with None -> "input" | Some e -> Format.asprintf "%a" Element.pp e
     in
-    let cap = if t.caps.(id) > 0. then Format.asprintf " C=%s" (Units.format_si t.caps.(id)) else "" in
+    let cap =
+      if t.cap.(id) > 0. then Format.asprintf " C=%s" (Units.format_si t.cap.(id)) else ""
+    in
     let out = if is_output t id then " [output]" else "" in
     Format.fprintf fmt "%s%s: %s%s%s@," indent t.names.(id) elem cap out;
-    List.iter (dump (indent ^ "  ")) t.children.(id)
+    for j = t.child_start.(id) to t.child_start.(id + 1) - 1 do
+      dump (indent ^ "  ") t.child_ids.(j)
+    done
   in
   Format.fprintf fmt "@[<v>tree %s@," t.name;
   dump "  " 0;

@@ -11,7 +11,23 @@
 
     Distributed lines keep their identity (they are NOT pre-lumped);
     {!Moments} integrates over them exactly and {!Lump} discretizes
-    them when a simulation needs a finite state space. *)
+    them when a simulation needs a finite state space.
+
+    {b Storage.}  The frozen tree is a struct of arrays indexed by node
+    id: the parent ([-1] for the input), the series resistance and the
+    distributed capacitance of the edge above each node ([0] for the
+    input; a lumped resistor has no line capacitance), and the lumped
+    capacitance at each node; children are kept CSR-style, ascending
+    by id.  Ids are assigned parent-first, so index order is a valid
+    top-down order and reverse index order a bottom-up one: the
+    paper's O(n) sweeps are plain loops over these arrays.
+
+    {b Borrowed arrays.}  {!parents}, {!resistances},
+    {!line_capacitances} and {!capacitances} hand out the tree's own
+    arrays, without a copy — borrowed, do not mutate.  Hot engines
+    read them instead of calling {!parent} or {!capacitance} per node,
+    because a per-node call across a module boundary boxes its float
+    result unless the compiler inlines it. *)
 
 type node_id = int
 
@@ -30,8 +46,12 @@ module Builder : sig
   val add_node : t -> parent:node_id -> ?name:string -> Element.t -> node_id
   (** [add_node b ~parent elem] creates a node connected to [parent]
       through [elem].  A [Capacitor] element is rejected — capacitance
-      belongs to nodes, use {!add_capacitance}.  Raises
-      [Invalid_argument] on a bad parent or a capacitor element. *)
+      belongs to nodes, use {!add_capacitance}.  Since {!Element.t} is
+      a public variant, the values are checked here too.  Raises
+      [Invalid_argument] on a bad parent, a capacitor element, a
+      negative or non-finite value, or a [Line] of zero resistance
+      (use {!add_line}, which folds it into [parent]).  A [Line] of
+      zero capacitance is stored as a resistor. *)
 
   val add_resistor : t -> parent:node_id -> ?name:string -> float -> node_id
 
@@ -61,16 +81,33 @@ val node_count : t -> int
 
 val input : t -> node_id
 
-val parent : t -> node_id -> node_id option
-(** [None] exactly for the input node. *)
+val parent : t -> node_id -> node_id
+(** [-1] exactly for the input node. *)
 
 val element : t -> node_id -> Element.t option
-(** Series element between a node and its parent; [None] for the input. *)
+(** Series element between a node and its parent; [None] for the input.
+    A view built from {!resistances} and {!line_capacitances}, for
+    printers and pattern-matching callers. *)
 
 val capacitance : t -> node_id -> float
 (** Lumped capacitance at the node (line capacitance not included). *)
 
 val children : t -> node_id -> node_id list
+(** Ascending by id, which is insertion order. *)
+
+val parents : t -> int array
+(** Parent of every node, [-1] for the input — borrowed, do not mutate. *)
+
+val resistances : t -> float array
+(** Series resistance of the edge above every node, [0] for the input —
+    borrowed, do not mutate. *)
+
+val line_capacitances : t -> float array
+(** Distributed capacitance of the edge above every node, [0] for the
+    input and for lumped resistors — borrowed, do not mutate. *)
+
+val capacitances : t -> float array
+(** Lumped capacitance at every node — borrowed, do not mutate. *)
 
 val node_name : t -> node_id -> string
 

@@ -22,16 +22,12 @@ let problems t =
   List.iter
     (fun (label, id) -> if Path.resistance_to_root t id = 0. then add (Output_without_resistance label))
     (Tree.outputs t);
+  let r = Tree.resistances t and line_c = Tree.line_capacitances t in
+  let cap = Tree.capacitances t in
   Tree.iter_nodes t ~f:(fun id ->
       let is_leaf = Tree.children t id = [] in
-      let has_cap =
-        Tree.capacitance t id > 0.
-        || (match Tree.element t id with Some e -> Element.capacitance e > 0. | None -> false)
-      in
-      let through_resistance =
-        match Tree.element t id with Some e -> Element.resistance e > 0. | None -> false
-      in
-      if is_leaf && through_resistance && not has_cap && not (Tree.is_output t id) then
+      let has_cap = cap.(id) > 0. || line_c.(id) > 0. in
+      if is_leaf && r.(id) > 0. && (not has_cap) && not (Tree.is_output t id) then
         add (Dangling_resistor (Tree.node_name t id)));
   List.rev !probs
 

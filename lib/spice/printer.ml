@@ -12,11 +12,7 @@ let deck_of_tree ?(source_name = "in") tree =
       (match Rctree.Tree.element tree id with
       | None -> ()
       | Some e -> (
-          let parent =
-            match Rctree.Tree.parent tree id with
-            | Some p -> Rctree.Tree.node_name tree p
-            | None -> assert false
-          in
+          let parent = Rctree.Tree.node_name tree (Rctree.Tree.parent tree id) in
           match e with
           | Rctree.Element.Resistor r ->
               add (Deck.Resistor { name = fresh "r"; n1 = parent; n2 = node; value = r })

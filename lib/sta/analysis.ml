@@ -62,9 +62,6 @@ let precompute_net mode thresh d (net : Design.net) =
       in
       { pins = []; noload }
 
-let net_window r (net : Design.net) pin =
-  List.assoc pin (Hashtbl.find r.net_delays net.Design.net_name).pins
-
 let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) d =
   List.iter
     (fun (name, at) ->
@@ -129,11 +126,10 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) d =
         | Some launch ->
             Obs.Counter.incr m_nets;
             List.iter
-              (fun pin ->
-                let w = net_window r net pin in
+              (fun ((pin : Design.pin), w) ->
                 Hashtbl.replace r.pin_arrivals (pin.Design.instance, pin.Design.pin)
                   (add_window launch w))
-              net.Design.loads
+              (Hashtbl.find r.net_delays net.Design.net_name).pins
       in
       List.iter propagate_net (Design.nets d);
       (* instances in topological order *)
@@ -180,20 +176,19 @@ let run ?(mode = Bounds_mode) ?(threshold = 0.5) ?(input_arrivals = []) d =
           Obs.Counter.incr m_endpoints;
           let net = Design.net d po in
           let launch = Option.value (Hashtbl.find_opt r.launches po) ~default:zero in
+          let delays = Hashtbl.find r.net_delays net.Design.net_name in
           let arrival, crit_sink =
-            match net.Design.loads with
-            | [] ->
-                ( add_window launch (Hashtbl.find r.net_delays net.Design.net_name).noload,
-                  None )
-            | loads ->
+            match delays.pins with
+            | [] -> (add_window launch delays.noload, None)
+            | pins ->
                 let worst =
                   List.fold_left
-                    (fun acc pin ->
-                      let w = add_window launch (net_window r net pin) in
+                    (fun acc (pin, w) ->
+                      let w = add_window launch w in
                       match acc with
                       | Some (_, best) when best.late >= w.late -> acc
                       | Some _ | None -> Some (pin, w))
-                    None loads
+                    None pins
                 in
                 (match worst with
                 | Some (pin, w) -> (w, Some pin)

@@ -20,48 +20,48 @@ let tree_of_net d (net : Design.net) =
     Rctree.Tree.Builder.add_capacitance b at (load_capacitance d pin);
     Rctree.Tree.Builder.mark_output b ~label:(sink_label pin) at
   in
-  (match (net.Design.wire, net.Design.loads) with
-  | Design.Direct, loads -> List.iter (attach_sink source) loads
-  | Design.Lumped c, loads ->
-      Rctree.Tree.Builder.add_capacitance b source c;
-      List.iter (attach_sink source) loads
-  | Design.Line { resistance; capacitance }, loads ->
-      let far = Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance in
-      List.iter (attach_sink far) loads
-  | Design.Star { resistance; capacitance }, loads ->
-      List.iter
-        (fun pin ->
-          let far =
-            Rctree.Tree.Builder.add_line b ~parent:source ~name:("wire." ^ sink_label pin)
-              resistance capacitance
-          in
-          attach_sink far pin)
-        loads
-  | Design.Daisy { resistance; capacitance }, loads ->
-      let n = List.length loads in
-      if n = 0 then
-        ignore (Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance)
-      else begin
-        let r_seg = resistance /. float_of_int n and c_seg = capacitance /. float_of_int n in
-        let (_ : Rctree.Tree.node_id) =
-          List.fold_left
-            (fun at pin ->
-              let next =
-                Rctree.Tree.Builder.add_line b ~parent:at ~name:("tap." ^ sink_label pin) r_seg
-                  c_seg
-              in
-              attach_sink next pin;
-              next)
-            source loads
+  (* the far end of whatever wire exists: a loadless net's output *)
+  let far_end =
+    match (net.Design.wire, net.Design.loads) with
+    | Design.Direct, loads ->
+        List.iter (attach_sink source) loads;
+        source
+    | Design.Lumped c, loads ->
+        Rctree.Tree.Builder.add_capacitance b source c;
+        List.iter (attach_sink source) loads;
+        source
+    | Design.Line { resistance; capacitance }, loads ->
+        let far =
+          Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance
         in
-        ()
-      end);
-  if net.Design.loads = [] then begin
-    let snapshot = Rctree.Tree.Builder.finish b in
-    (* deepest node = far end of whatever wire exists *)
-    let far = Rctree.Tree.node_count snapshot - 1 in
-    Rctree.Tree.Builder.mark_output b ~label:(net.Design.net_name ^ ".end") far
-  end;
+        List.iter (attach_sink far) loads;
+        far
+    | Design.Star { resistance; capacitance }, loads ->
+        List.iter
+          (fun pin ->
+            let far =
+              Rctree.Tree.Builder.add_line b ~parent:source ~name:("wire." ^ sink_label pin)
+                resistance capacitance
+            in
+            attach_sink far pin)
+          loads;
+        source
+    | Design.Daisy { resistance; capacitance }, [] ->
+        Rctree.Tree.Builder.add_line b ~parent:source ~name:"wire" resistance capacitance
+    | Design.Daisy { resistance; capacitance }, loads ->
+        let n = float_of_int (List.length loads) in
+        let r_seg = resistance /. n and c_seg = capacitance /. n in
+        List.fold_left
+          (fun at pin ->
+            let next =
+              Rctree.Tree.Builder.add_line b ~parent:at ~name:("tap." ^ sink_label pin) r_seg c_seg
+            in
+            attach_sink next pin;
+            next)
+          source loads
+  in
+  if net.Design.loads = [] then
+    Rctree.Tree.Builder.mark_output b ~label:(net.Design.net_name ^ ".end") far_end;
   Rctree.Tree.Builder.finish b
 
 let load_capacitance d (net : Design.net) =

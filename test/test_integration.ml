@@ -41,16 +41,17 @@ let tests =
                 let node = Rctree.Tree.output_named tree label in
                 let node_name = Rctree.Tree.node_name tree node in
                 check_times label
-                  (Rctree.analyze_named tree ~output:label)
-                  (Rctree.analyze_named tree2 ~output:node_name))
+                  (Rctree.Analysis.times (Rctree.Analysis.make tree) ~output:(`Name label))
+                  (Rctree.Analysis.times (Rctree.Analysis.make tree2) ~output:(`Name node_name)))
               [ "near"; "far" ]);
     Alcotest.test_case "geometry -> bounds -> simulator agreement on a routed net" `Quick
       (fun () ->
         let tree = Tech.Route.to_tree p (routed_net ()) in
+        let h = Rctree.Analysis.make tree in
         List.iter
           (fun label ->
             let out = Rctree.Tree.output_named tree label in
-            let lo, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.5 in
+            let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Id out) ~threshold:0.5 in
             let exact = Circuit.Measure.exact_delay ~segments:16 tree ~output:out ~threshold:0.5 in
             check_bool (label ^ " inside") true (lo <= exact && exact <= hi))
           [ "near"; "far" ]);
@@ -129,7 +130,7 @@ let tests =
           (Sta.Celllib.input_capacitance (Sta.Celllib.find lib "inv1") "a");
         Rctree.Tree.Builder.mark_output b ~label:"sink" far;
         let tree = Rctree.Tree.Builder.finish b in
-        let expected = Rctree.analyze_named tree ~output:"sink" in
+        let expected = Rctree.Analysis.times (Rctree.Analysis.make tree) ~output:(`Name "sink") in
         (match Sta.Netdelay.sink_delays d net with
         | [ sd ] ->
             check_close ~eps:1e-15 "elmore" expected.Rctree.Times.t_d sd.Sta.Netdelay.elmore;

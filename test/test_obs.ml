@@ -289,6 +289,21 @@ let work_counter_tests =
           (List.length (Rctree.Tree.outputs more_outputs));
         check_int "unchanged by outputs" visited (nodes_visited more_outputs);
         check_int "doubles with n" (2 * visited) (nodes_visited (chain ~n:2000 ~outputs:10)));
+    (* the engines read the tree's own arrays: what they allocate is
+       their result arrays (straight to the major heap at this size),
+       not a word per node *)
+    Alcotest.test_case "Analysis.make spends < 1000 minor words on 10k nodes" `Quick (fun () ->
+        let tree = chain ~n:10_000 ~outputs:10 in
+        let w0 = Gc.minor_words () in
+        let (_ : Rctree.Analysis.t) = Rctree.Analysis.make tree in
+        let w = Gc.minor_words () -. w0 in
+        if w >= 1000. then Alcotest.failf "Analysis.make: %.0f minor words" w);
+    Alcotest.test_case "Large.operator spends < 1000 minor words on 10k nodes" `Quick (fun () ->
+        let tree = chain ~n:10_000 ~outputs:10 in
+        let w0 = Gc.minor_words () in
+        let (_ : Circuit.Large.operator) = Circuit.Large.operator tree ~dt:1e-12 in
+        let w = Gc.minor_words () -. w0 in
+        if w >= 1000. then Alcotest.failf "Large.operator: %.0f minor words" w);
   ]
 
 let () =

@@ -72,8 +72,8 @@ let fig10_tests =
           fig10_voltage_rows);
     Alcotest.test_case "the same numbers via the general tree machinery" `Quick (fun () ->
         let tree = Rctree.Convert.tree_of_expr Rctree.Expr.fig7 in
-        let out = Rctree.Tree.output_named tree "out" in
-        let lo, hi = Rctree.delay_bounds tree ~output:out ~threshold:0.5 in
+        let h = Rctree.Analysis.make tree in
+        let lo, hi = Rctree.Analysis.delay_bounds h ~output:(`Name "out") ~threshold:0.5 in
         check_close ~eps:0.05 "tmin" 184.23 lo;
         check_close ~eps:0.05 "tmax" 314.15 hi);
   ]

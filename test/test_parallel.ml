@@ -122,7 +122,7 @@ let pla_tree n =
   let p = Tech.Process.default_4um in
   Tech.Pla.line_tree p (Tech.Pla.default_params p) ~minterms:n
 
-(* the legacy compute path, bypassing the handle wrappers entirely *)
+(* the legacy compute path: a throwaway handle per query *)
 let legacy_times tree id = Rctree.Moments.times tree ~output:id
 
 let check_handle_matches_legacy msg tree =
@@ -130,20 +130,7 @@ let check_handle_matches_legacy msg tree =
   let n = Rctree.Tree.node_count tree in
   for id = 0 to n - 1 do
     let tag = Printf.sprintf "%s node %d" msg id in
-    check_times_exact tag (legacy_times tree id) (Rctree.Analysis.times h ~output:(`Id id));
-    let lo, hi = Rctree.delay_bounds tree ~output:id ~threshold:0.5 in
-    let lo', hi' = Rctree.Analysis.delay_bounds h ~output:(`Id id) ~threshold:0.5 in
-    check_exact (tag ^ " t_min") lo lo';
-    check_exact (tag ^ " t_max") hi hi';
-    let vlo, vhi = Rctree.voltage_bounds tree ~output:id ~time:100. in
-    let vlo', vhi' = Rctree.Analysis.voltage_bounds h ~output:(`Id id) ~time:100. in
-    check_exact (tag ^ " v_min") vlo vlo';
-    check_exact (tag ^ " v_max") vhi vhi';
-    check_exact (tag ^ " elmore") (Rctree.elmore_delay tree ~output:id)
-      (Rctree.Analysis.elmore h ~output:(`Id id));
-    check_bool (tag ^ " verdict") true
-      (Rctree.certify tree ~output:id ~threshold:0.5 ~deadline:hi
-      = Rctree.Analysis.certify h ~output:(`Id id) ~threshold:0.5 ~deadline:hi)
+    check_times_exact tag (legacy_times tree id) (Rctree.Analysis.times h ~output:(`Id id))
   done
 
 let handle_tests =
@@ -162,7 +149,7 @@ let handle_tests =
             check_times_exact label
               (Rctree.Analysis.times h ~output:(`Id id))
               (Rctree.Analysis.times h ~output:(`Name label));
-            check_times_exact (label ^ " legacy named") (Rctree.analyze_named tree ~output:label)
+            check_times_exact (label ^ " legacy") (legacy_times tree id)
               (Rctree.Analysis.times h ~output:(`Name label)))
           (Rctree.Analysis.outputs h));
     Alcotest.test_case "unknown outputs raise Invalid_argument" `Quick (fun () ->
@@ -171,9 +158,7 @@ let handle_tests =
         check_invalid "id out of range" (fun () ->
             Rctree.Analysis.times h ~output:(`Id (Rctree.Tree.node_count fig7_tree)));
         check_invalid "unknown name" (fun () ->
-            Rctree.Analysis.times h ~output:(`Name "no-such-output"));
-        check_invalid "legacy named" (fun () ->
-            Rctree.analyze_named fig7_tree ~output:"no-such-output"));
+            Rctree.Analysis.times h ~output:(`Name "no-such-output")));
     Alcotest.test_case "batch = per-output query, bit-exact" `Quick (fun () ->
         let tree = pla_tree 20 in
         let h = Rctree.Analysis.make tree in

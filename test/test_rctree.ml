@@ -261,9 +261,9 @@ let tree_tests =
     Alcotest.test_case "structure of fig7" `Quick (fun () ->
         let t, a, side, e = build_fig7 () in
         check_int "nodes" 4 (node_count t);
-        check_bool "parent a" true (parent t a = Some (input t));
-        check_bool "parent b" true (parent t side = Some a);
-        check_bool "parent input" true (parent t (input t) = None);
+        check_int "parent a" (input t) (parent t a);
+        check_int "parent b" a (parent t side);
+        check_int "parent input" (-1) (parent t (input t));
         Alcotest.(check (list int)) "children of a" [ side; e ] (children t a));
     Alcotest.test_case "elements" `Quick (fun () ->
         let t, a, _, e = build_fig7 () in
@@ -369,7 +369,7 @@ let tree_tests =
         let ok =
           fold_nodes t ~init:true ~f:(fun acc id ->
               Hashtbl.replace seen id ();
-              acc && match parent t id with None -> true | Some p -> Hashtbl.mem seen p)
+              acc && (id = input t || Hashtbl.mem seen (parent t id)))
         in
         check_bool "order" true ok);
     Alcotest.test_case "builder reusable after finish" `Quick (fun () ->
@@ -380,6 +380,37 @@ let tree_tests =
         let t2 = Builder.finish b in
         check_int "t1 frozen" 2 (node_count t1);
         check_int "t2 grew" 3 (node_count t2));
+    Alcotest.test_case "add_node rejects values the smart constructors would" `Quick (fun () ->
+        let b = Builder.create () in
+        let rejects what elem =
+          match Builder.add_node b ~parent:(Builder.input b) elem with
+          | (_ : node_id) -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument msg ->
+              check_bool (what ^ ": names add_node") true
+                (String.starts_with ~prefix:"Tree.Builder.add_node" msg)
+        in
+        let line resistance capacitance = Rctree.Element.Line { resistance; capacitance } in
+        rejects "negative resistor" (Rctree.Element.Resistor (-5.));
+        rejects "nan resistor" (Rctree.Element.Resistor Float.nan);
+        rejects "infinite resistor" (Rctree.Element.Resistor Float.infinity);
+        rejects "negative line resistance" (line (-1.) 1.);
+        rejects "nan line resistance" (line Float.nan 1.);
+        rejects "negative line capacitance" (line 1. (-1.));
+        rejects "infinite line capacitance" (line 1. Float.infinity);
+        rejects "zero-resistance line" (line 0. 1.);
+        check_int "nothing added" 1 (node_count (Builder.finish b)));
+    Alcotest.test_case "borrowed arrays agree with the per-node queries" `Quick (fun () ->
+        let t, _, _, _ = build_fig7 () in
+        let ps = parents t and rs = resistances t in
+        let ls = line_capacitances t and cs = capacitances t in
+        iter_nodes t ~f:(fun id ->
+            check_int "parent" (parent t id) ps.(id);
+            check_float "capacitance" (capacitance t id) cs.(id);
+            match element t id with
+            | None -> check_bool "input edge empty" true (rs.(id) = 0. && ls.(id) = 0.)
+            | Some e ->
+                check_float "r" (Rctree.Element.resistance e) rs.(id);
+                check_float "line c" (Rctree.Element.capacitance e) ls.(id)));
   ]
 
 (* --- Path: the Fig. 3 resistance definitions ---------------------------- *)
@@ -664,28 +695,32 @@ let validate_tests =
         check_exn t);
   ]
 
-(* --- top-level convenience API ------------------------------------------------------ *)
+(* --- the query handle, one question at a time ------------------------------------- *)
 
 let api_tests =
+  let handle () =
+    let t, _, _, e = build_fig7 () in
+    (Rctree.Analysis.make t, `Id e)
+  in
   [
     Alcotest.test_case "analyze_named" `Quick (fun () ->
-        let t, _, _, _ = build_fig7 () in
-        let ts = Rctree.analyze_named t ~output:"e" in
+        let h, _ = handle () in
+        let ts = Rctree.Analysis.times h ~output:(`Name "e") in
         check_float "td" 363. ts.Rctree.Times.t_d);
     Alcotest.test_case "analyze_named unknown raises" `Quick (fun () ->
-        let t, _, _, _ = build_fig7 () in
-        check_invalid "unknown" (fun () -> Rctree.analyze_named t ~output:"nope"));
+        let h, _ = handle () in
+        check_invalid "unknown" (fun () -> Rctree.Analysis.times h ~output:(`Name "nope")));
     Alcotest.test_case "delay_bounds ordering" `Quick (fun () ->
-        let t, _, _, e = build_fig7 () in
-        let lo, hi = Rctree.delay_bounds t ~output:e ~threshold:0.5 in
+        let h, e = handle () in
+        let lo, hi = Rctree.Analysis.delay_bounds h ~output:e ~threshold:0.5 in
         check_bool "lo<=hi" true (lo <= hi));
     Alcotest.test_case "voltage_bounds ordering" `Quick (fun () ->
-        let t, _, _, e = build_fig7 () in
-        let lo, hi = Rctree.voltage_bounds t ~output:e ~time:100. in
+        let h, e = handle () in
+        let lo, hi = Rctree.Analysis.voltage_bounds h ~output:e ~time:100. in
         check_bool "lo<=hi" true (lo <= hi));
     Alcotest.test_case "elmore_delay" `Quick (fun () ->
-        let t, _, _, e = build_fig7 () in
-        check_float "elmore" 363. (Rctree.elmore_delay t ~output:e));
+        let h, e = handle () in
+        check_float "elmore" 363. (Rctree.Analysis.elmore h ~output:e));
   ]
 
 let () =

@@ -555,6 +555,13 @@ let linear_tests =
       (fun () ->
         let r = ratio ~output_every_section:true () in
         if r >= 2.3 then Alcotest.failf "minor-words ratio %.3f >= 2.3" r);
+    Alcotest.test_case "elaborating a 100k-section chain spends <= 20 minor words per node" `Quick
+      (fun () ->
+        let deck = Result.get_ok (Spice.Parser.parse_string (chain_text 100_000)) in
+        let w0 = Gc.minor_words () in
+        let tree = Spice.Elaborate.to_tree_exn deck in
+        let per_node = (Gc.minor_words () -. w0) /. float_of_int (Rctree.Tree.node_count tree) in
+        if per_node > 20. then Alcotest.failf "%.1f minor words per node" per_node);
   ]
 
 let () =

@@ -471,6 +471,39 @@ let analysis_tests =
         check_bool "mode" true (contains text "Penfield-Rubinstein");
         check_bool "endpoint" true (contains text "n2");
         check_bool "verdict" true (contains text "PASS"));
+    Alcotest.test_case "every sink of a 3000-sink star net is launch + its own window" `Quick
+      (fun () ->
+        let d = Sta.Design.create lib in
+        let loads =
+          List.init 3000 (fun k ->
+              let name = Printf.sprintf "u%d" k in
+              Sta.Design.add_instance d ~cell:"inv1" name;
+              pin name "a")
+        in
+        Sta.Design.add_net d
+          ~wire:(Sta.Design.Star { resistance = 1000.; capacitance = 1e-13 })
+          ~driver:(Sta.Design.Primary unit_drive) ~loads "fan";
+        let delays = Sta.Netdelay.sink_delays d (Sta.Design.net d "fan") in
+        check_int "one delay per sink" 3000 (List.length delays);
+        List.iter
+          (fun mode ->
+            let r = Sta.Analysis.run_exn ~mode d in
+            let launch = Sta.Analysis.net_launch r "fan" in
+            let mismatches =
+              List.filter
+                (fun (s : Sta.Netdelay.sink_delay) ->
+                  let lo, hi =
+                    match mode with
+                    | Sta.Analysis.Bounds_mode -> s.Sta.Netdelay.window
+                    | Sta.Analysis.Elmore_mode -> (s.Sta.Netdelay.elmore, s.Sta.Netdelay.elmore)
+                  in
+                  let w = Sta.Analysis.pin_arrival r s.Sta.Netdelay.sink in
+                  w.Sta.Analysis.early <> launch.Sta.Analysis.early +. lo
+                  || w.Sta.Analysis.late <> launch.Sta.Analysis.late +. hi)
+                delays
+            in
+            check_int "sinks off their own window" 0 (List.length mismatches))
+          [ Sta.Analysis.Bounds_mode; Sta.Analysis.Elmore_mode ]);
   ]
 
 (* --- Netlist_io ----------------------------------------------------- *)

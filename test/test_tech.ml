@@ -255,7 +255,8 @@ let variation_tests =
     Alcotest.test_case "corners order the delay" `Quick (fun () ->
         let delay process =
           let tree, out = build_pla 20 process in
-          snd (Rctree.delay_bounds tree ~output:out ~threshold:0.7)
+          let h = Rctree.Analysis.make tree in
+          snd (Rctree.Analysis.delay_bounds h ~output:(`Id out) ~threshold:0.7)
         in
         match Tech.Variation.corners p with
         | [ slow; typ; fast ] ->
@@ -274,7 +275,9 @@ let variation_tests =
         check_close ~eps:0. "tmax p95" hi1.Tech.Variation.p95 hi2.Tech.Variation.p95);
     Alcotest.test_case "spread centred on the nominal window" `Quick (fun () ->
         let tree, out = build_pla 10 p in
-        let lo_nom, hi_nom = Rctree.delay_bounds tree ~output:out ~threshold:0.7 in
+        let lo_nom, hi_nom =
+          Rctree.Analysis.delay_bounds (Rctree.Analysis.make tree) ~output:(`Id out) ~threshold:0.7
+        in
         let lo, hi =
           Tech.Variation.monte_carlo ~samples:300 ~seed:3 p ~build:(build_pla 10) ~threshold:0.7
         in
