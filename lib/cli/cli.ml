@@ -163,11 +163,12 @@ let simulate_cmd path t_end samples segments =
   @@ fun () ->
   with_tree path (fun tree ->
       let times = sample_times ~t_end ~samples in
+      let lumped = lump ~segments tree in
+      let exact = Circuit.Exact.of_tree lumped in
       print_csv times
         (List.map
-           (fun (label, id) ->
-             (label, Circuit.Measure.exact_response ~segments tree ~output:id ~times))
-           (Rctree.Tree.outputs tree));
+           (fun (label, id) -> (label, Circuit.Exact.sample exact ~node:id ~times))
+           (Rctree.Tree.outputs lumped));
       0)
 
 (* time-stepping counterpart of [simulate]: same CSV shape, but through
@@ -249,7 +250,9 @@ let ramp_cmd path rise threshold =
       0)
 
 let moments_cmd path order segments =
-  check_flags "moments" [ segments_flag segments ] @@ fun () ->
+  check_flags "moments"
+    [ require (order >= 1) "--order must be at least 1"; segments_flag segments ]
+  @@ fun () ->
   with_tree path (fun tree ->
       let lumped = lump ~segments tree in
       let columns = "output" :: List.init order (fun j -> Printf.sprintf "m%d" (j + 1)) @ [ "model" ] in

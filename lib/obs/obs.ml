@@ -211,10 +211,6 @@ let counters () =
 
 let gauges () = locked (fun () -> List.map (fun (n, g) -> (n, !g)) (sorted_bindings gauge_table))
 
-let span_totals () =
-  locked (fun () ->
-      List.map (fun (n, a) -> (n, a.calls, a.total)) (sorted_bindings span_table))
-
 let reset () =
   locked (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c 0) counter_table;

@@ -116,27 +116,6 @@ let leaf_path h n =
   in
   go h n []
 
-let leaf_value h path =
-  let rec go node = function
-    | [] -> (
-        match node with
-        | Leaf { resistance; capacitance; _ } -> (resistance, capacitance)
-        | Branch _ | Cascade _ -> invalid_arg "Incremental.leaf_value: path is not a leaf")
-    | L :: rest -> (
-        match node with
-        | Cascade c -> go c.left rest
-        | _ -> invalid_arg "Incremental.leaf_value: path mismatch")
-    | R :: rest -> (
-        match node with
-        | Cascade c -> go c.right rest
-        | _ -> invalid_arg "Incremental.leaf_value: path mismatch")
-    | B :: rest -> (
-        match node with
-        | Branch b -> go b.child rest
-        | _ -> invalid_arg "Incremental.leaf_value: path mismatch")
-  in
-  go h path
-
 (* ---------------------------------------------------------------- *)
 (* edits                                                            *)
 (* ---------------------------------------------------------------- *)

@@ -313,6 +313,8 @@ let tests =
                 ([ "simulate"; "--t-end"; "0" ], "--t-end");
                 ([ "simulate"; "--t-end=-5" ], "--t-end");
                 ([ "moments"; "--segments"; "0" ], "--segments");
+                ([ "moments"; "--order=-1" ], "--order");
+                ([ "moments"; "--order"; "0" ], "--order");
                 ([ "ac"; "--segments"; "0" ], "--segments");
               ]));
     Alcotest.test_case "bounds, certify, voltage, ramp, ac, sweep and pla: bad flags exit 2" `Quick
@@ -345,6 +347,29 @@ let tests =
             check_int ("exit: pla " ^ what) 2 code;
             check_bool ("names " ^ flag ^ ": pla " ^ what) true (contains out flag))
           [ ([ "--minterms=-3" ], "--minterms"); ([ "--threshold"; "2" ], "--threshold") ]);
+    Alcotest.test_case "simulate: one eigendecomposition per deck, not per output" `Quick
+      (fun () ->
+        let path = Filename.temp_file "outputs3" ".sp" in
+        let oc = open_out path in
+        output_string oc
+          "VIN in 0\nR1 in a 15\nC1 a 0 2\nR2 a b 8\nC2 b 0 7\nU1 a e 3 4\nC3 e 0 9\n\
+           .output e\n.output b\n.output a\n.end\n";
+        close_out oc;
+        let was = Obs.enabled () in
+        Obs.reset ();
+        let code, out, decompositions =
+          Fun.protect
+            ~finally:(fun () ->
+              Sys.remove path;
+              Obs.reset ();
+              Obs.set_enabled was)
+            (fun () ->
+              let code, out = run [ "simulate"; path; "--t-end"; "600"; "--metrics" ] in
+              (code, out, List.assoc_opt "eigen.decompositions" (Obs.counters ())))
+        in
+        check_int "exit" 0 code;
+        check_bool "three columns" true (contains out "t,e,b,a");
+        check_int "eigen.decompositions" 1 (Option.value decompositions ~default:0));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

@@ -254,58 +254,6 @@ let solver_stats_tests =
             check_int "decomposition counted" 1 (counter "eigen.decompositions")));
   ]
 
-(* The paper's linear-time claim as a deterministic contract: the
-   all-nodes pass visits each node once, whatever the output count, and
-   queries visit none. *)
-let work_counter_tests =
-  (* an RC chain of [n] nodes (input included) with [outputs] outputs *)
-  let chain ~n ~outputs =
-    let b = Rctree.Tree.Builder.create () in
-    let at = ref (Rctree.Tree.Builder.input b) in
-    for i = 1 to n - 1 do
-      at := Rctree.Tree.Builder.add_resistor b ~parent:!at 10.;
-      Rctree.Tree.Builder.add_capacitance b !at 1e-13;
-      if i mod ((n - 1) / outputs) = 0 then Rctree.Tree.Builder.mark_output b !at
-    done;
-    Rctree.Tree.Builder.finish b
-  in
-  let nodes_visited tree =
-    with_metrics (fun () ->
-        let h = Rctree.Analysis.make tree in
-        ignore (Rctree.Analysis.all_times h);
-        ignore (Rctree.Analysis.all_certify h ~threshold:0.5 ~deadline:1e-9);
-        List.iter
-          (fun (label, _) -> ignore (Rctree.Analysis.times h ~output:(`Name label)))
-          (Rctree.Analysis.outputs h);
-        Option.value (List.assoc_opt "rctree.analysis_nodes" (Obs.counters ())) ~default:0)
-  in
-  [
-    Alcotest.test_case "rctree.analysis_nodes is linear in n, flat in outputs" `Quick (fun () ->
-        let base = chain ~n:1000 ~outputs:10 in
-        let visited = nodes_visited base in
-        check_int "= node_count" (Rctree.Tree.node_count base) visited;
-        let more_outputs = chain ~n:1000 ~outputs:20 in
-        check_int "outputs doubled" (2 * List.length (Rctree.Tree.outputs base))
-          (List.length (Rctree.Tree.outputs more_outputs));
-        check_int "unchanged by outputs" visited (nodes_visited more_outputs);
-        check_int "doubles with n" (2 * visited) (nodes_visited (chain ~n:2000 ~outputs:10)));
-    (* the engines read the tree's own arrays: what they allocate is
-       their result arrays (straight to the major heap at this size),
-       not a word per node *)
-    Alcotest.test_case "Analysis.make spends < 1000 minor words on 10k nodes" `Quick (fun () ->
-        let tree = chain ~n:10_000 ~outputs:10 in
-        let w0 = Gc.minor_words () in
-        let (_ : Rctree.Analysis.t) = Rctree.Analysis.make tree in
-        let w = Gc.minor_words () -. w0 in
-        if w >= 1000. then Alcotest.failf "Analysis.make: %.0f minor words" w);
-    Alcotest.test_case "Large.operator spends < 1000 minor words on 10k nodes" `Quick (fun () ->
-        let tree = chain ~n:10_000 ~outputs:10 in
-        let w0 = Gc.minor_words () in
-        let (_ : Circuit.Large.operator) = Circuit.Large.operator tree ~dt:1e-12 in
-        let w = Gc.minor_words () -. w0 in
-        if w >= 1000. then Alcotest.failf "Large.operator: %.0f minor words" w);
-  ]
-
 let () =
   Alcotest.run "obs"
     [
@@ -315,5 +263,4 @@ let () =
       ("disabled", disabled_tests);
       ("exporters", exporter_tests);
       ("solver stats", solver_stats_tests);
-      ("linear work", work_counter_tests);
     ]

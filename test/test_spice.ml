@@ -519,51 +519,6 @@ let reference_tests =
         | _ -> Alcotest.fail "elaboration failed");
   ]
 
-(* --- linear work: doubling the deck at most roughly doubles allocation *)
-
-let front_end_words text =
-  let w0 = Gc.minor_words () in
-  let tree = Spice.Elaborate.to_tree_exn (Result.get_ok (Spice.Parser.parse_string text)) in
-  let w = Gc.minor_words () -. w0 in
-  (Rctree.Tree.node_count tree, w)
-
-let chain_text ?(output_every_section = false) sections =
-  let b = Buffer.create (sections * 40) in
-  Buffer.add_string b "* chain\nVIN in 0\n";
-  for k = 1 to sections do
-    let prev = if k = 1 then "in" else Printf.sprintf "n%d" (k - 1) in
-    Printf.bprintf b "R%d %s n%d 1.25\nC%d n%d 0 2e-15\n" k prev k k k;
-    if output_every_section then Printf.bprintf b ".output n%d\n" k
-  done;
-  if not output_every_section then Printf.bprintf b ".output n%d\n" sections;
-  Buffer.contents b
-
-let linear_tests =
-  let ratio ?output_every_section () =
-    let n1, w1 = front_end_words (chain_text ?output_every_section 20_000) in
-    let n2, w2 = front_end_words (chain_text ?output_every_section 40_000) in
-    check_int "nodes 20k" 20_001 n1;
-    check_int "nodes 40k" 40_001 n2;
-    w2 /. w1
-  in
-  [
-    Alcotest.test_case "doubling a chain deck at most ~doubles parse + elaborate words" `Quick
-      (fun () ->
-        let r = ratio () in
-        if r >= 2.3 then Alcotest.failf "minor-words ratio %.3f >= 2.3" r);
-    Alcotest.test_case "doubling the .output lines at most ~doubles parse + elaborate words" `Quick
-      (fun () ->
-        let r = ratio ~output_every_section:true () in
-        if r >= 2.3 then Alcotest.failf "minor-words ratio %.3f >= 2.3" r);
-    Alcotest.test_case "elaborating a 100k-section chain spends <= 20 minor words per node" `Quick
-      (fun () ->
-        let deck = Result.get_ok (Spice.Parser.parse_string (chain_text 100_000)) in
-        let w0 = Gc.minor_words () in
-        let tree = Spice.Elaborate.to_tree_exn deck in
-        let per_node = (Gc.minor_words () -. w0) /. float_of_int (Rctree.Tree.node_count tree) in
-        if per_node > 20. then Alcotest.failf "%.1f minor words per node" per_node);
-  ]
-
 let () =
   Alcotest.run "spice"
     [
@@ -572,5 +527,4 @@ let () =
       ("include", include_tests);
       ("printer", printer_tests);
       ("reference", reference_tests @ List.map QCheck_alcotest.to_alcotest reference_props);
-      ("linear", linear_tests);
     ]
