@@ -62,7 +62,11 @@ let diagonal op =
     let p = op.parent_row.(row) in
     if p >= 0 then below.(p) <- below.(p) +. op.conductance.(row)
   done;
-  Array.init rows (fun row -> op.c_over_dt.(row) +. op.conductance.(row) +. below.(row))
+  (* in place: Array.init over a float closure would box every entry *)
+  for row = 0 to rows - 1 do
+    below.(row) <- op.c_over_dt.(row) +. op.conductance.(row) +. below.(row)
+  done;
+  below
 
 (* y = (C/dt + G) x into a caller buffer, walking edges instead of a
    matrix: first each row's own capacitor and the edge above it, then
@@ -90,10 +94,11 @@ let apply op x =
    before children, so [parent_row] already satisfies Tree_ldl's
    elimination-order contract *)
 let factor op =
-  let offdiag =
-    Array.init (node_count op) (fun r ->
-        if op.parent_row.(r) = -1 then 0. else -.op.conductance.(r))
-  in
+  let rows = node_count op in
+  let offdiag = Array.make rows 0. in
+  for r = 0 to rows - 1 do
+    if op.parent_row.(r) <> -1 then offdiag.(r) <- -.op.conductance.(r)
+  done;
   Numeric.Tree_ldl.factor ~parent:op.parent_row ~diag:(diagonal op) ~offdiag
 
 let rc_chain ~sections ~r ~c =

@@ -320,7 +320,7 @@ let sta_cmd path period hold elmore =
 
 (* ---- sweep: incremental what-if queries ----
 
-   Edit grammar (one query per --edit / per line of --edits-file;
+   Query grammar (one query per --edit / per line of --edits-file;
    ';'-separated edits inside a query apply cumulatively):
 
      replace <addr> <r> <c>     swap the URC leaf at <addr>
@@ -332,7 +332,13 @@ let sta_cmd path period hold elmore =
 
    <addr> is "root", "leaf:N" (N-th leaf left to right), or a path of
    l/r/b steps from the root, e.g. "llrb".  Queries are independent:
-   each one edits the same base network. *)
+   each one edits the same base network.  doc/FORMATS.md §3 has the
+   full rules and the output shapes.
+
+   The queries are answered in input order (--edit specs, then the
+   file's lines) as each is read, and only their output rows are kept.
+   Nothing reaches stdout until every query has been answered: the
+   first bad one is exit 2 with an empty stdout. *)
 
 let ( let* ) = Result.bind
 
@@ -350,10 +356,12 @@ let parse_addr h s =
   else Rctree.Incremental.path_of_string s
 
 let parse_edit h tokens =
+  (* element values and factors alike: finite and non-negative *)
   let num what s =
     match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad %s %S" what s)
+    | Some f when Float.is_finite f ->
+        if f < 0. then Error (Printf.sprintf "negative %s %S" what s) else Ok f
+    | Some _ | None -> Error (Printf.sprintf "bad %s %S" what s)
   in
   match tokens with
   | [ "replace"; a; r; c ] ->
@@ -404,23 +412,41 @@ let parse_query h spec =
       (Ok []) pieces
     |> Result.map List.rev
 
-let read_spec_file file =
-  try
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-        |> Result.ok)
-  with Sys_error msg -> Error msg
+(* a library's Invalid_argument message, less its "Module.fn: " prefix *)
+let reason msg =
+  let ident = function 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true | _ -> false in
+  match String.index_opt msg ':' with
+  | Some i
+    when i + 1 < String.length msg
+         && msg.[i + 1] = ' '
+         && 'A' <= msg.[0]
+         && msg.[0] <= 'Z'
+         && String.for_all ident (String.sub msg 0 i) ->
+      String.sub msg (i + 2) (String.length msg - i - 2)
+  | _ -> msg
+
+(* [answer] each query in input order, stopping at the first error: the
+   --edit specs, then the edits file line by line, each line trimmed and
+   blank lines and '#' comments skipped *)
+let iter_queries specs edits_file answer =
+  let rec lines ic =
+    match input_line ic with
+    | exception End_of_file -> Ok ()
+    | line -> (
+        let q = String.trim line in
+        if q = "" || q.[0] = '#' then lines ic
+        else match answer q with Ok () -> lines ic | Error _ as e -> e)
+  in
+  let* () = List.fold_left (fun acc spec -> let* () = acc in answer spec) (Ok ()) specs in
+  match edits_file with
+  | None -> Ok ()
+  | Some file -> (
+      match open_in file with
+      | exception Sys_error msg -> Error msg
+      | ic ->
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> try lines ic with Sys_error msg -> Error (file ^ ": " ^ msg)))
 
 let json_times spec (ts : Rctree.Times.t) threshold =
   Obs.Json.Object
@@ -436,6 +462,47 @@ let json_times spec (ts : Rctree.Times.t) threshold =
          ];
        ])
 
+(* The two output writers: [add spec times] keeps one answered query,
+   [write ()] prints them all. *)
+let sweep_table out_label threshold base =
+  let table = Reprolib.Table.create ~columns:[ "edits"; "t_min"; "t_max"; "T_De" ] in
+  let add spec ts =
+    Reprolib.Table.add_row table
+      [
+        spec;
+        fmt_s (Rctree.Bounds.t_min ts threshold);
+        fmt_s (Rctree.Bounds.t_max ts threshold);
+        fmt_s ts.Rctree.Times.t_d;
+      ]
+  in
+  add "(base)" base;
+  ( add,
+    fun () ->
+      Printf.printf "output %s, threshold %g\n" out_label threshold;
+      Reprolib.Table.print table )
+
+let sweep_json path out_label threshold base =
+  let buf = Buffer.create 4096 in
+  (* the whole object with an empty query list, less its closing "]}" *)
+  Obs.Json.to_buffer buf
+    (Obs.Json.Object
+       [
+         ("deck", Obs.Json.String path);
+         ("output", Obs.Json.String out_label);
+         ("threshold", Obs.Json.Number threshold);
+         ("base", json_times None base threshold);
+         ("queries", Obs.Json.Array []);
+       ]);
+  Buffer.truncate buf (Buffer.length buf - 2);
+  let first = ref true in
+  ( (fun spec ts ->
+      if not !first then Buffer.add_char buf ',';
+      first := false;
+      Obs.Json.to_buffer buf (json_times (Some spec) ts threshold)),
+    fun () ->
+      Buffer.add_string buf "]}\n";
+      Buffer.output_buffer stdout buf )
+
 let sweep_cmd path specs edits_file output_name threshold json =
   check_flags "sweep" [ threshold_flag "--threshold" threshold ] @@ fun () ->
   with_tree path (fun tree ->
@@ -443,85 +510,51 @@ let sweep_cmd path specs edits_file output_name threshold json =
         prerr_endline ("sweep: " ^ msg);
         2
       in
-      let specs_r =
-        match edits_file with
-        | None -> Ok specs
-        | Some f -> Result.map (fun ls -> specs @ ls) (read_spec_file f)
+      let no_edits = "no edits given (use --edit SPEC or --edits-file FILE)" in
+      let outputs = Rctree.Tree.outputs tree in
+      let output_r =
+        match output_name with
+        | Some name -> (
+            match List.assoc_opt name outputs with
+            | Some id -> Ok (name, id)
+            | None -> Error (Printf.sprintf "no output named %S in %s" name path))
+        | None -> (
+            match outputs with (name, id) :: _ -> Ok (name, id) | [] -> Error "deck has no outputs")
       in
-      match specs_r with
-      | Error msg -> bad msg
-      | Ok [] -> bad "no edits given (use --edit SPEC or --edits-file FILE)"
-      | Ok specs -> (
-          let outputs = Rctree.Tree.outputs tree in
-          let output_r =
-            match output_name with
-            | Some name -> (
-                match List.assoc_opt name outputs with
-                | Some id -> Ok (name, id)
-                | None -> Error (Printf.sprintf "no output named %S in %s" name path))
-            | None -> (
-                match outputs with
-                | (name, id) :: _ -> Ok (name, id)
-                | [] -> Error "deck has no outputs")
-          in
-          match output_r with
-          | Error msg -> bad msg
-          | Ok (out_label, out_id) -> (
-              let h = Rctree.Convert.incremental_of_tree tree ~output:out_id in
-              let parsed = List.map (fun s -> (s, parse_query h s)) specs in
-              match
-                List.find_map
-                  (function s, Error msg -> Some (s, msg) | _, Ok _ -> None)
-                  parsed
-              with
-              | Some (s, msg) -> bad (Printf.sprintf "%S: %s" s msg)
-              | None -> (
-                  let queries =
-                    List.filter_map (function s, Ok q -> Some (s, q) | _ -> None) parsed
-                  in
-                  try
-                    let results =
-                      Rctree.Incremental.sweep_list h (List.map snd queries)
-                    in
-                    let base = Rctree.Incremental.times h in
-                    if json then
-                      print_endline
-                        (Obs.Json.to_string
-                           (Obs.Json.Object
-                              [
-                                ("deck", Obs.Json.String path);
-                                ("output", Obs.Json.String out_label);
-                                ("threshold", Obs.Json.Number threshold);
-                                ("base", json_times None base threshold);
-                                ( "queries",
-                                  Obs.Json.Array
-                                    (List.map2
-                                       (fun (s, _) ts -> json_times (Some s) ts threshold)
-                                       queries results) );
-                              ]))
-                    else begin
-                      Printf.printf "output %s, threshold %g\n" out_label threshold;
-                      let table =
-                        Reprolib.Table.create ~columns:[ "edits"; "t_min"; "t_max"; "T_De" ]
-                      in
-                      let row spec ts =
-                        Reprolib.Table.add_row table
-                          [
-                            spec;
-                            fmt_s (Rctree.Bounds.t_min ts threshold);
-                            fmt_s (Rctree.Bounds.t_max ts threshold);
-                            fmt_s ts.Rctree.Times.t_d;
-                          ]
-                      in
-                      row "(base)" base;
-                      List.iter2 (fun (s, _) ts -> row s ts) queries results;
-                      Reprolib.Table.print table
-                    end;
-                    0
-                  with Invalid_argument msg ->
-                    (* a structurally invalid edit (path not in this
-                       network, pruning the root, ...) is bad input *)
-                    bad msg))))
+      if specs = [] && edits_file = None then bad no_edits
+      else
+        match output_r with
+        | Error msg -> bad msg
+        | Ok (out_label, out_id) -> (
+            let h = Rctree.Convert.incremental_of_tree tree ~output:out_id in
+            let base = Rctree.Incremental.times h in
+            let add, write =
+              if json then sweep_json path out_label threshold base
+              else sweep_table out_label threshold base
+            in
+            let answered = ref 0 in
+            let result =
+              Rctree.Incremental.sweep_with h (fun query ->
+                  iter_queries specs edits_file (fun spec ->
+                      let fail msg = Error (Printf.sprintf "%S: %s" spec msg) in
+                      match parse_query h spec with
+                      | Error msg -> fail msg
+                      | Ok edits -> (
+                          (* a structurally invalid edit (a path not in this
+                             network, pruning the root, ...) is bad input *)
+                          match query edits with
+                          | ts ->
+                              add spec ts;
+                              incr answered;
+                              Ok ()
+                          | exception Invalid_argument msg -> fail (reason msg))))
+            in
+            match result with
+            | Error msg -> bad msg
+            | Ok () when !answered = 0 -> bad no_edits
+            | Ok () ->
+                write ();
+                0))
 
 let fig10_cmd () =
   let ts = Rctree.Expr.times Rctree.Expr.fig7 in
@@ -903,7 +936,7 @@ let edit_arg =
 let edits_file_arg =
   Arg.(
     value
-    & opt (some file) None
+    & opt (some string) None
     & info [ "edits-file" ] ~docv:"FILE"
         ~doc:"Read one query per line ('#' comments and blank lines skipped).")
 

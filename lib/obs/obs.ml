@@ -240,8 +240,7 @@ module Json = struct
     | Array of t list
     | Object of (string * t) list
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
+  let add_escaped buf s =
     String.iter
       (fun c ->
         match c with
@@ -250,30 +249,52 @@ module Json = struct
         | '\n' -> Buffer.add_string buf "\\n"
         | '\t' -> Buffer.add_string buf "\\t"
         | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
         | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+      s
+
+  let add_quoted buf s =
+    Buffer.add_char buf '"';
+    add_escaped buf s;
+    Buffer.add_char buf '"'
 
   let number_to_string v =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
     else Printf.sprintf "%.17g" v
 
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
+  let rec to_buffer buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Number v ->
-        if Float.is_nan v then "null"
-        else if v = infinity then "1e999" (* out-of-range literal parses back as infinity *)
-        else if v = neg_infinity then "-1e999"
-        else number_to_string v
-    | String s -> "\"" ^ escape s ^ "\""
-    | Array xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
+        if Float.is_nan v then Buffer.add_string buf "null"
+        else if v = infinity then
+          Buffer.add_string buf "1e999" (* out-of-range literal parses back as infinity *)
+        else if v = neg_infinity then Buffer.add_string buf "-1e999"
+        else Buffer.add_string buf (number_to_string v)
+    | String s -> add_quoted buf s
+    | Array xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            to_buffer buf x)
+          xs;
+        Buffer.add_char buf ']'
     | Object kvs ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
-        ^ "}"
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_quoted buf k;
+            Buffer.add_char buf ':';
+            to_buffer buf v)
+          kvs;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    to_buffer buf v;
+    Buffer.contents buf
 
   exception Parse_error of string
 

@@ -115,6 +115,10 @@ module Json : sig
     | Array of t list
     | Object of (string * t) list
 
+  val to_buffer : Buffer.t -> t -> unit
+  (** Append the compact JSON text of a value, the bytes {!to_string}
+      returns. *)
+
   val to_string : t -> string
 
   val of_string : string -> (t, string) result

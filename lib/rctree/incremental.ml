@@ -317,12 +317,9 @@ let edit_expr e edit =
 (* batch sweeps                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let sweep h queries =
+let sweep_with h k =
   if Obs.enabled () then Obs.Counter.incr m_sweeps;
-  Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  Array.map (fun edits -> times (apply_all h edits)) queries
+  Obs.Span.with_ ~name:"incr.sweep" @@ fun () -> k (fun edits -> times (apply_all h edits))
 
-let sweep_list h queries =
-  if Obs.enabled () then Obs.Counter.incr m_sweeps;
-  Obs.Span.with_ ~name:"incr.sweep" @@ fun () ->
-  List.map (fun edits -> times (apply_all h edits)) queries
+let sweep h queries = sweep_with h (fun query -> Array.map query queries)
+let sweep_list h queries = sweep_with h (fun query -> List.map query queries)

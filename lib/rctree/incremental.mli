@@ -129,3 +129,9 @@ val sweep : t -> edit list array -> Times.t array
 
 val sweep_list : t -> edit list list -> Times.t list
 (** {!sweep} over lists. *)
+
+val sweep_with : t -> ((edit list -> Times.t) -> 'a) -> 'a
+(** [sweep_with h k] is [k query], where [query edits] answers one
+    what-if query against [h] as {!sweep} does: a sweep whose queries
+    arrive one at a time (say, as they are read), counted and timed as
+    one sweep.  [query] raises like {!apply}. *)

@@ -4,7 +4,13 @@ let prefixes =
     (1., ""); (1e3, "k"); (1e6, "M"); (1e9, "G"); (1e12, "T");
   ]
 
+(* the C formatter behind Printf's "%.*g", called directly: a CLI table
+   formats three of these per row, and the Printf interpreter costs
+   about as much as the row's arithmetic *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let format_si ?(digits = 4) x =
+  if digits < 0 then invalid_arg "Units.format_si: negative digits";
   if x = 0. then "0"
   else if not (Float.is_finite x) then Printf.sprintf "%f" x
   else begin
@@ -21,8 +27,8 @@ let format_si ?(digits = 4) x =
       if mag < 1e-15 then (1., "") else pick prefixes
     in
     let mantissa = x /. scale in
-    let s = Printf.sprintf "%.*g" digits mantissa in
-    s ^ prefix
+    let g = if digits = 4 then "%.4g" else "%." ^ string_of_int digits ^ "g" in
+    format_float g mantissa ^ prefix
   end
 
 let format_quantity ?digits ~unit_symbol x = format_si ?digits x ^ unit_symbol

@@ -7,7 +7,8 @@
 val format_si : ?digits:int -> float -> string
 (** [format_si x] renders [x] with an SI prefix: [1.5e-12 -> "1.5p"],
     [2.2e4 -> "22k"].  [digits] is the number of significant digits
-    (default 4).  Zero renders as ["0"]. *)
+    (default 4).  Zero renders as ["0"].  Raises [Invalid_argument]
+    when [digits] is negative. *)
 
 val format_quantity : ?digits:int -> unit_symbol:string -> float -> string
 (** [format_quantity ~unit_symbol:"s" 1.5e-9] is ["1.5ns"]. *)

@@ -1,7 +1,9 @@
-(** Plain-text tables for the benchmark harness and examples.
+(** Plain-text tables for the CLI, the metrics report and the examples.
 
     Columns are sized to their widest cell; numeric-looking cells are
-    right-aligned, text cells left-aligned. *)
+    right-aligned, text cells left-aligned.  A table keeps each row as
+    the bytes of its cells (plus one int per cell), so a table of many
+    rows costs about its rendered size. *)
 
 type t
 
@@ -19,6 +21,7 @@ val add_float_row : ?fmt:(float -> string) -> t -> string -> float list -> unit
 val render : t -> string
 
 val print : t -> unit
+(** [render], written straight to stdout. *)
 
 val render_csv : t -> string
 (** The same data as comma-separated values (cells containing commas or

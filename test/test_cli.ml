@@ -9,33 +9,39 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* run the CLI with stdout (and stderr) redirected; return (code, output) *)
-let run args =
+(* run the CLI with stdout and stderr redirected to temporary files;
+   return (code, stdout, stderr) *)
+let run_split args =
   let argv = Array.of_list ("rcdelay" :: args) in
-  let path = Filename.temp_file "cli" ".out" in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_path = Filename.temp_file "cli" ".out" and err_path = Filename.temp_file "cli" ".err" in
+  let out_fd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   flush stdout;
   flush stderr;
   let saved_out = Unix.dup Unix.stdout and saved_err = Unix.dup Unix.stderr in
-  Unix.dup2 fd Unix.stdout;
-  Unix.dup2 fd Unix.stderr;
+  Unix.dup2 out_fd Unix.stdout;
+  Unix.dup2 err_fd Unix.stderr;
   let restore () =
     flush stdout;
     flush stderr;
     Unix.dup2 saved_out Unix.stdout;
     Unix.dup2 saved_err Unix.stderr;
-    Unix.close saved_out;
-    Unix.close saved_err;
-    Unix.close fd
+    List.iter Unix.close [ saved_out; saved_err; out_fd; err_fd ]
   in
   let code = try Cli.run argv with e -> restore (); raise e in
   restore ();
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let output = really_input_string ic n in
-  close_in ic;
-  Sys.remove path;
-  (code, output)
+  let slurp path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let out = slurp out_path in
+  (code, out, slurp err_path)
+
+(* the same, with stderr after stdout in one string *)
+let run args =
+  let code, out, err = run_split args in
+  (code, out ^ err)
 
 let with_fig7_deck f =
   let path = Filename.temp_file "fig7" ".sp" in
@@ -53,6 +59,57 @@ let with_netlist f =
      loads=u2/a\nnet out driver=u2/y loads=\noutput out\n";
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* a what-if edits file: comment, blank and padded lines among the
+   queries *)
+let with_edits_file text f =
+  let path = Filename.temp_file "queries" ".edits" in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let sweep_edits =
+  "# what-if queries on fig7\n\nreplace leaf:2 6 8\n   # an indented comment\n\
+  \  scale-c leaf:0 2 ; buffer root 5 1  \n\t\ngraft root 1 2\nprune leaf:1\n"
+
+(* --edit specs come first, then the file's queries *)
+let sweep_args deck edits =
+  [ "sweep"; deck; "-e"; "scale-r root 2"; "-e"; "replace leaf:0 10 1"; "--edits-file"; edits ]
+
+(* stdout of the sweep above, as printed before the CLI answered each
+   query as it was read *)
+let sweep_table_golden =
+  String.concat "\n"
+    [
+      "output e, threshold 0.5";
+      "edits                               t_min   t_max   T_De";
+      "--------------------------------------------------------";
+      "(base)                              184.2s  314.1s  363s";
+      "scale-r root 2                      368.5s  628.3s  726s";
+      "replace leaf:0 10 1                 114.1s  240.3s  258s";
+      "replace leaf:2 6 8                  245.9s  424.1s  483s";
+      "scale-c leaf:0 2 ; buffer root 5 1  259.2s  399.9s  478s";
+      "graft root 1 2                      198.7s  358.8s  400s";
+      "prune leaf:1                        166.8s  288s    333s";
+      "";
+    ]
+
+let sweep_json_golden deck =
+  "{\"deck\":\"" ^ deck
+  ^ "\",\"output\":\"e\",\"threshold\":0.5,\"base\":{\"t_p\":419,\"t_d\":363,\"t_r\":335.16666666666669,\"t_min\":184.23410997487431,\"t_max\":314.14887409754715},\"queries\":["
+  ^ String.concat ","
+      [
+        "{\"edits\":\"scale-r root 2\",\"t_p\":838,\"t_d\":726,\"t_r\":670.33333333333337,\"t_min\":368.46821994974863,\"t_max\":628.2977481950943}";
+        "{\"edits\":\"replace leaf:0 10 1\",\"t_p\":314,\"t_d\":258,\"t_r\":229.71794871794873,\"t_min\":114.10407054351998,\"t_max\":240.25017806807043}";
+        "{\"edits\":\"replace leaf:2 6 8\",\"t_p\":549,\"t_d\":483,\"t_r\":435.16666666666669,\"t_min\":245.89762339125002,\"t_max\":424.0542339272734}";
+        "{\"edits\":\"scale-c leaf:0 2 ; buffer root 5 1\",\"t_p\":534,\"t_d\":478,\"t_r\":445.13043478260869,\"t_min\":259.22708324112051,\"t_max\":399.85091278209558}";
+        "{\"edits\":\"graft root 1 2\",\"t_p\":456,\"t_d\":400,\"t_r\":353.56140350877195,\"t_min\":198.74355364119853,\"t_max\":358.76482316924285}";
+        "{\"edits\":\"prune leaf:1\",\"t_p\":389,\"t_d\":333,\"t_r\":310.16666666666669,\"t_min\":166.77981973362262,\"t_max\":288.00265050596909}";
+      ]
+  ^ "]}\n"
+
+(* a library's "Module.fn:" prefix leaking into a message *)
+let leaks_internals msg =
+  List.exists (contains msg) [ "Incremental"; "Twoport."; "Times.make"; "Expr."; "exception" ]
 
 let tests =
   [
@@ -370,6 +427,65 @@ let tests =
         check_int "exit" 0 code;
         check_bool "three columns" true (contains out "t,e,b,a");
         check_int "eigen.decompositions" 1 (Option.value decompositions ~default:0));
+    Alcotest.test_case "sweep: table matches the golden, specs before file lines" `Quick
+      (fun () ->
+        with_fig7_deck (fun deck ->
+            with_edits_file sweep_edits (fun edits ->
+                let code, out, err = run_split (sweep_args deck edits) in
+                check_int "exit" 0 code;
+                Alcotest.(check string) "stdout" sweep_table_golden out;
+                Alcotest.(check string) "stderr" "" err)));
+    Alcotest.test_case "sweep: --json matches the golden and parses" `Quick (fun () ->
+        with_fig7_deck (fun deck ->
+            with_edits_file sweep_edits (fun edits ->
+                let code, out, _ = run_split (sweep_args deck edits @ [ "--json" ]) in
+                check_int "exit" 0 code;
+                Alcotest.(check string) "stdout" (sweep_json_golden deck) out;
+                match Obs.Json.of_string out with
+                | Error msg -> Alcotest.failf "invalid JSON: %s" msg
+                | Ok v -> (
+                    match Obs.Json.member "queries" v with
+                    | Some (Obs.Json.Array qs) -> check_int "queries" 6 (List.length qs)
+                    | _ -> Alcotest.fail "no queries array"))));
+    Alcotest.test_case "sweep: bad input exits 2 with an empty stdout" `Quick (fun () ->
+        with_fig7_deck (fun deck ->
+            let expect what args needle =
+              let code, out, err = run_split ("sweep" :: deck :: args) in
+              check_int ("exit: " ^ what) 2 code;
+              Alcotest.(check string) ("stdout: " ^ what) "" out;
+              check_bool ("says " ^ needle ^ ": " ^ what) true (contains err ("sweep: " ^ needle));
+              check_bool ("no internals: " ^ what) false (leaks_internals err)
+            in
+            (* the first bad query in input order wins, an apply error
+               before a later parse error *)
+            with_edits_file "scale-r root 2\n# ok so far\nprune root\nbogus\nreplace leaf:0 1 1\n"
+              (fun edits ->
+                expect "bad query mid-file" [ "--edits-file"; edits ]
+                  "\"prune root\": cannot prune the root");
+            with_edits_file "bogus\n" (fun edits ->
+                expect "bad spec before the file"
+                  [ "-e"; "replace leaf:7 1 1"; "--edits-file"; edits ]
+                  "\"replace leaf:7 1 1\": leaf index 7 out of range");
+            let missing = Filename.concat (Filename.get_temp_dir_name ()) "no-such-queries.edits" in
+            expect "missing edits file" [ "--edits-file"; missing ] (missing ^ ": ");
+            expect "no edits" [] "no edits given";
+            with_edits_file "# nothing but comments\n\n" (fun edits ->
+                expect "only comments" [ "--edits-file"; edits ] "no edits given");
+            expect "unknown output"
+              [ "-e"; "scale-r root 2"; "-o"; "nope" ]
+              "no output named \"nope\"";
+            List.iter
+              (fun (query, reason) ->
+                expect query [ "-e"; "scale-r root 2"; "-e"; query ]
+                  (Printf.sprintf "%S: %s" query reason))
+              [
+                ("graft root 1 -2", "negative capacitance \"-2\"");
+                ("replace leaf:0 nan 1", "bad resistance \"nan\"");
+                ("buffer root -3 1", "negative resistance \"-3\"");
+                ("scale-c root inf", "bad factor \"inf\"");
+                ("replace root 1 1", "Replace_leaf path addresses an interior node");
+                ("prune root", "cannot prune the root");
+              ]));
   ]
 
 let () = Alcotest.run "cli" [ ("rcdelay", tests) ]

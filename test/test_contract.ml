@@ -10,7 +10,11 @@
    - the Gc.minor_words ratio of the call is below 2.3, and so is the
      ratio of all words it allocates: blocks too large for the minor
      heap (a big string, a big array) go straight to the major heap,
-     where Gc.minor_words does not see them.
+     where Gc.minor_words does not see them;
+   - where the row sets a bound, the words the call puts in the major
+     heap (promoted or allocated there) grow by at most that much per
+     added unit of n: what a layer keeps per item, not only how its
+     total scales.
    Work measures are Obs counters and histogram sums, or the size of the
    layer's result where the layer keeps no counter. *)
 
@@ -55,6 +59,8 @@ type growth =
 type row = {
   layer : string;
   n : int;
+  major_per_unit : float option;
+      (** the bound on major-heap words per added unit of n, if any *)
   work : (string * growth) list;
   measure : int -> unit -> unit -> int list;
       (** [measure n] builds the input at size [n] and returns the
@@ -62,22 +68,23 @@ type row = {
           measures, in order *)
 }
 
-(* every word allocated so far; the minor collection first makes the
+(* every word allocated so far, and the major-heap share of them
+   (promoted words included); the minor collection first makes the
    counters exact *)
 let allocated_words () =
   Gc.minor ();
   let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  (minor +. major -. promoted, major)
 
 let at row n =
   let call = row.measure n in
   with_metrics (fun () ->
-      let a0 = allocated_words () in
+      let a0, m0 = allocated_words () in
       let w0 = Gc.minor_words () in
       let read = call () in
       let words = Gc.minor_words () -. w0 in
-      let allocated = allocated_words () -. a0 in
-      (words, allocated, read ()))
+      let a1, m1 = allocated_words () in
+      (words, a1 -. a0, m1 -. m0, read ()))
 
 let check_ratio row what w1 w2 =
   let ratio = w2 /. w1 in
@@ -85,7 +92,7 @@ let check_ratio row what w1 w2 =
     Alcotest.failf "%s: %s %.0f -> %.0f, ratio %.3f >= 2.3" row.layer what w1 w2 ratio
 
 let check_row row () =
-  let w1, a1, v1 = at row row.n and w2, a2, v2 = at row (2 * row.n) in
+  let w1, a1, m1, v1 = at row row.n and w2, a2, m2, v2 = at row (2 * row.n) in
   List.iteri
     (fun i (name, growth) ->
       let a = List.nth v1 i and b = List.nth v2 i in
@@ -99,7 +106,14 @@ let check_row row () =
       check_int (Printf.sprintf "%s at 2n = %d" name (2 * row.n)) expect_b b)
     row.work;
   check_ratio row "minor words" w1 w2;
-  check_ratio row "allocated words" a1 a2
+  check_ratio row "allocated words" a1 a2;
+  Option.iter
+    (fun bound ->
+      let per_unit = (m2 -. m1) /. float_of_int row.n in
+      if not (per_unit <= bound) then
+        Alcotest.failf "%s: major words %.0f -> %.0f, %.1f per added unit > %.0f" row.layer m1 m2
+          per_unit bound)
+    row.major_per_unit
 
 (* an RC chain of [n] nodes (input included) with [outputs] outputs *)
 let chain ~n ~outputs =
@@ -127,11 +141,43 @@ let adder bits =
 let library = Sta.Celllib.default Tech.Process.default_4um
 let instances d = List.length (Sta.Design.instances d)
 
+let temp_file prefix suffix text =
+  let path = Filename.temp_file prefix suffix in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  path
+
+(* [n] what-if queries on the Fig. 7 deck's three leaves, one edit each *)
+let sweep_queries n =
+  let b = Buffer.create (n * 24) in
+  for i = 0 to n - 1 do
+    let leaf = i mod 3 and x = 1. +. (float_of_int (i mod 97) /. 10.) in
+    match i mod 3 with
+    | 0 -> Printf.bprintf b "replace leaf:%d %g %g\n" leaf x (2. *. x)
+    | 1 -> Printf.bprintf b "scale-r leaf:%d %g\n" leaf x
+    | _ -> Printf.bprintf b "scale-c leaf:%d %g\n" leaf x
+  done;
+  Buffer.contents b
+
+(* run the CLI in-process with its stdout discarded *)
+let cli_quietly args =
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 null Unix.stdout;
+  Unix.close null;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    (fun () -> Cli.run (Array.of_list ("rcdelay" :: args)))
+
 let rows =
   [
     {
       layer = "SPICE parse + elaborate";
       n = 20_000;
+      major_per_unit = None;
       work =
         [
           ("spice.cards_per_deck less the source", Doubles);
@@ -156,6 +202,7 @@ let rows =
     {
       layer = "Analysis.make + all_*";
       n = 10_000;
+      major_per_unit = None;
       work =
         [
           ("rctree.analysis_nodes", Doubles);
@@ -185,6 +232,7 @@ let rows =
     {
       layer = "Large.factor + Tree_ldl solve";
       n = 10_000;
+      major_per_unit = None;
       work =
         [ ("unknowns", Doubles); ("treesolve.factors", Equals 1); ("treesolve.solves", Equals 1) ];
       measure =
@@ -202,6 +250,7 @@ let rows =
     {
       layer = "Transient run (direct, 10 steps)";
       n = 10_000;
+      major_per_unit = None;
       work =
         [
           ("transient.nodes_per_sim", Doubles);
@@ -227,6 +276,7 @@ let rows =
     {
       layer = "Incremental.of_expr";
       n = 4096;
+      major_per_unit = None;
       work = [ ("leaves", Doubles); ("incr.handles", Equals 1) ];
       measure =
         (fun n ->
@@ -239,6 +289,7 @@ let rows =
     {
       layer = "Incremental edit";
       n = 4096;
+      major_per_unit = None;
       work = [ ("incr.edits", Equals 1); ("incr.nodes_reeval", Plus_one) ];
       measure =
         (fun n ->
@@ -254,6 +305,7 @@ let rows =
     {
       layer = "Netlist_io.parse_string";
       n = 500;
+      major_per_unit = None;
       work = [ ("instances", Doubles) ];
       measure =
         (fun bits ->
@@ -265,6 +317,7 @@ let rows =
     {
       layer = "Design.check";
       n = 500;
+      major_per_unit = None;
       work = [ ("problems", Equals 0) ];
       measure =
         (fun bits ->
@@ -276,6 +329,7 @@ let rows =
     {
       layer = "Sta.Analysis.run";
       n = 500;
+      major_per_unit = None;
       work = [ ("sta.instances_visited", Doubles); ("sta.runs", Equals 1) ];
       measure =
         (fun bits ->
@@ -287,6 +341,7 @@ let rows =
     {
       layer = "Report.timing_report";
       n = 500;
+      major_per_unit = None;
       work = [ ("sta.reports", Equals 1) ];
       measure =
         (fun bits ->
@@ -298,6 +353,7 @@ let rows =
     {
       layer = "Table.render";
       n = 10_000;
+      major_per_unit = None;
       work = [ ("body lines", Doubles) ];
       measure =
         (fun n ->
@@ -309,6 +365,29 @@ let rows =
             let s = Reprolib.Table.render t in
             (* less the header and its rule *)
             fun () -> [ List.length (String.split_on_char '\n' (String.trim s)) - 2 ]);
+    };
+    (* the CLI's output writer, end to end: each query is answered as it
+       is read, so what grows with the query count is the output rows
+       kept for the all-or-nothing write, about 60 bytes each *)
+    {
+      layer = "rcdelay sweep";
+      n = 20_000;
+      major_per_unit = Some 64.;
+      work = [ ("incr.edits", Doubles); ("incr.sweeps", Equals 1); ("exit code", Equals 0) ];
+      measure =
+        (fun n ->
+          let deck =
+            temp_file "sweep" ".sp"
+              "VIN in 0\nR1 in a 15\nC1 a 0 2\nR2 a b 8\nC2 b 0 7\nU1 a e 3 4\nC3 e 0 9\n\
+               .output e\n.end\n"
+          in
+          let edits = temp_file "sweep" ".edits" (sweep_queries n) in
+          fun () ->
+            let code = cli_quietly [ "sweep"; deck; "--edits-file"; edits ] in
+            fun () ->
+              Sys.remove deck;
+              Sys.remove edits;
+              [ counter "incr.edits"; counter "incr.sweeps"; code ]);
     };
   ]
 
@@ -358,6 +437,13 @@ let work_counter_tests =
         let (_ : Circuit.Large.operator) = Circuit.Large.operator tree ~dt:1e-12 in
         let w = Gc.minor_words () -. w0 in
         if w >= 1000. then Alcotest.failf "Large.operator: %.0f minor words" w);
+    Alcotest.test_case "Large.factor spends < 1000 minor words on 10k sections" `Quick (fun () ->
+        let tree = Circuit.Large.rc_chain ~sections:10_000 ~r:10. ~c:1e-13 in
+        let op = Circuit.Large.operator tree ~dt:1e-12 in
+        let w0 = Gc.minor_words () in
+        let (_ : Numeric.Tree_ldl.t) = Circuit.Large.factor op in
+        let w = Gc.minor_words () -. w0 in
+        if w >= 1000. then Alcotest.failf "Large.factor: %.0f minor words" w);
   ]
 
 (* --- linear work: doubling the deck at most roughly doubles allocation *)

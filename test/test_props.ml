@@ -241,6 +241,28 @@ let spice_props =
                   (Rctree.Moments.times tree2 ~output:out2)));
   ]
 
+(* the Printf-based formatter that Units.format_si replaced, kept as the
+   reference for its output *)
+let reference_format_si ~digits x =
+  if x = 0. then "0"
+  else
+    let mag = Float.abs x in
+    let rec pick = function
+      | [] -> (1., "")
+      | [ p ] -> p
+      | (s, p) :: rest -> if mag < s *. 1000. then (s, p) else pick rest
+    in
+    let scale, prefix =
+      if mag < 1e-15 then (1., "")
+      else
+        pick
+          [
+            (1e-15, "f"); (1e-12, "p"); (1e-9, "n"); (1e-6, "u"); (1e-3, "m");
+            (1., ""); (1e3, "k"); (1e6, "M"); (1e9, "G"); (1e12, "T");
+          ]
+    in
+    Printf.sprintf "%.*g" digits (x /. scale) ^ prefix
+
 let misc_props =
   [
     QCheck.Test.make ~count:300 ~name:"format_si/parse_si round-trip"
@@ -320,6 +342,17 @@ let misc_props =
             let lo, hi = Rctree.Transition.voltage_bounds ts Rctree.Transition.Falling t in
             lo -. 1e-9 <= v_fall && v_fall <= hi +. 1e-9)
           [ 0; 1; 2; 4; 8 ]);
+    QCheck.Test.make ~count:2000 ~name:"format_si matches its Printf reference"
+      (QCheck.make
+         QCheck.Gen.(
+           let* mantissa = float_range (-999.99) 999.99 in
+           let* expo = int_range (-20) 16 in
+           let* round = bool in
+           let* digits = oneofl [ 0; 1; 4; 9 ] in
+           let x = mantissa *. (10. ** float_of_int expo) in
+           return ((if round then Float.round x else x), digits))
+         ~print:(fun (x, digits) -> Printf.sprintf "%h, digits %d" x digits))
+      (fun (x, digits) -> Rctree.Units.format_si ~digits x = reference_format_si ~digits x);
   ]
 
 let () =

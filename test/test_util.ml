@@ -13,6 +13,48 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* the list-of-rows renderer that the byte-buffer table replaced, kept
+   as the reference for its output *)
+let reference_render columns rows =
+  let all = columns :: rows in
+  let widths =
+    List.mapi
+      (fun j _ -> List.fold_left (fun acc row -> max acc (String.length (List.nth row j))) 0 all)
+      columns
+  in
+  let numeric cell =
+    cell <> ""
+    && String.for_all (function '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false) cell
+  in
+  let line row =
+    String.concat "  "
+      (List.map2
+         (fun w cell -> if numeric cell then Printf.sprintf "%*s" w cell else Printf.sprintf "%-*s" w cell)
+         widths row)
+  in
+  let rule = String.concat "--" (List.map (fun w -> String.make w '-') widths) in
+  String.concat "" (List.map (fun l -> l ^ "\n") ((line columns :: rule :: List.map line rows)))
+
+let reference_csv columns rows =
+  let cell c =
+    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') c then
+      "\"" ^ String.concat "\"\"" (String.split_on_char '"' c) ^ "\""
+    else c
+  in
+  String.concat "\n" (List.map (fun row -> String.concat "," (List.map cell row)) (columns :: rows))
+  ^ "\n"
+
+let arb_table =
+  let open QCheck.Gen in
+  let cell = oneofl [ ""; "0"; "42"; "-1.5e-3"; "+7"; "e"; "abc"; "n12"; "wide text cell"; "x,y"; "q\"t"; "12.5ns" ] in
+  QCheck.make
+    (let* ncols = int_range 1 5 in
+     let* columns = list_repeat ncols cell in
+     let* rows = list_size (int_range 0 30) (list_repeat ncols cell) in
+     return (columns, rows))
+    ~print:(fun (columns, rows) ->
+      String.concat "\n" (List.map (String.concat " | ") (columns :: rows)))
+
 let table_tests =
   let open Reprolib.Table in
   [
@@ -63,6 +105,12 @@ let table_tests =
         let t = create ~columns:[ "a" ] in
         add_row t [ "x,y" ];
         check_bool "quoted" true (contains (render_csv t) "\"x,y\""));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"render and render_csv match the list reference"
+         arb_table (fun (columns, rows) ->
+           let t = create ~columns in
+           List.iter (add_row t) rows;
+           render t = reference_render columns rows && render_csv t = reference_csv columns rows));
   ]
 
 let () = Alcotest.run "util" [ ("table", table_tests) ]
